@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on a mathematical failure (oracle
-disagreement, failing verification suite), 2 on malformed input or flags.
+disagreement, failing verification suite, violated invariant), 2 on
+malformed input or flags.  A reader that closes stdout early (``| head``)
+is not a failure: exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import complexes as cx
@@ -151,6 +154,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.cases < 0:
+        print(f"error: --cases must be non-negative, got {args.cases}",
+              file=sys.stderr)
+        return 2
     if args.suite == "census":
         dims = _parse_dims_flag(args.dims or "1,1,1")
         report = suites.exhaustive_field_census(dims, args.p)
@@ -159,7 +166,8 @@ def cmd_verify(args) -> int:
             args.seed, max_m=args.max_m, max_n=args.max_dim, cases=args.cases)
     elif args.suite == "degeneration":
         report = suites.degeneration_suite(
-            args.seed, cases=args.cases, max_n=min(args.max_dim, 3))
+            args.seed, cases=args.cases, max_m=min(args.max_m, 3),
+            max_n=min(args.max_dim, 3))
     else:  # argparse choices make this unreachable
         return 2
     if args.json:
@@ -217,14 +225,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except formats.DocumentError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (cx.NotAComplexError, suites.CensusBudgetError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except dg.InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
+        # DocumentError, NotAComplexError and CensusBudgetError included
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

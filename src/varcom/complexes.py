@@ -349,10 +349,6 @@ def stabilizer_dim(c: Complex) -> int:
     return s_total - rank(theta)
 
 
-def orbit_dim(c: Complex) -> int:
-    return rank(_homotopy_matrix(c))
-
-
 def assemble_D_delta(c: Complex, delta):
     """Extend a degree-1 graded map delta on the cohomology of c to a
     differential-shaped map on the whole space: in the splitting basis the

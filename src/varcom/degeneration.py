@@ -20,11 +20,16 @@ from typing import NamedTuple
 
 from .complexes import Complex, NotAComplexError, cohomology, rank_vector
 from .linalg import (Matrix, inverse, kernel_basis, local_at_zero,
-                     local_from_rational, local_inverse, local_rank, rank,
-                     rref, solve_matrix)
+                     local_from_rational, local_rank, min_valuation_entry,
+                     rank, rref, solve_matrix)
 from .rings import LOCAL, QQ, QPoly, RatFun
 from .spectral import SpectralSequence, StratumLabel, stratum_label
 from .strata import GradedDims, RankVector
+
+
+class InvariantError(RuntimeError):
+    """An exact invariant that the mathematics guarantees failed to hold: a
+    defect in the input's validation or in the program, never bad input."""
 
 
 class PolyComplex:
@@ -146,7 +151,7 @@ class DVRDecomposition:
         return out
 
     def g_inverse(self) -> list[Matrix]:
-        return [local_inverse(gi) for gi in self.g]
+        return [inverse(gi) for gi in self.g]
 
 
 def _tpow(a: int) -> RatFun:
@@ -196,21 +201,14 @@ def dvr_decompose(pc: PolyComplex) -> DVRDecomposition:
     blocks = []
     while True:
         best = None
-        best_val = None
         for i in range(m):
-            for p in sorted(live[i + 1]):
-                row = A[i][p]
-                for q in sorted(live[i]):
-                    x = row[q]
-                    if x.is_zero():
-                        continue
-                    v = x.valuation()
-                    if best_val is None or v < best_val:
-                        best, best_val = (i, p, q), v
+            found = min_valuation_entry(A[i], sorted(live[i + 1]),
+                                        sorted(live[i]))
+            if found is not None and (best is None or found[0] < best[0]):
+                best = (*found, i)
         if best is None:
             break
-        i, p, q = best
-        a = best_val
+        a, p, q, i = best
         piv = A[i][p][q]
         unit = piv / _tpow(a)
         # make the pivot exactly t^a
@@ -232,12 +230,12 @@ def dvr_decompose(pc: PolyComplex) -> DVRDecomposition:
         live[i].discard(q)
         live[i + 1].discard(p)
         # D^2 = 0 detaches the block from the neighbouring differentials
-        if i + 1 <= m - 1:
-            assert all(A[i + 1][r_][p].is_zero() for r_ in range(dims[i + 2])), \
-                "block did not detach from the next differential"
-        if i >= 1:
-            assert all(x.is_zero() for x in A[i - 1][q]), \
-                "block did not detach from the previous differential"
+        next_col = i + 1 < m and any(A[i + 1][r_][p] for r_ in range(dims[i + 2]))
+        prev_row = i >= 1 and any(A[i - 1][q])
+        if next_col or prev_row:
+            raise InvariantError(
+                f"block (degree {i}, exponent {a}) did not detach from a "
+                "neighbouring differential; D(t)^2 != 0")
 
     free = [sorted(live[i]) for i in range(m + 1)]
     g_mats = [Matrix(LOCAL, dims[j], dims[j], g[j]) for j in range(m + 1)]
@@ -330,7 +328,7 @@ def limit_complete_complex(pc: PolyComplex,
             basis = lifts[i + 1].hstack(bnds[i + 1])
             sol = solve_matrix(basis, value)
             if sol is None:
-                raise AssertionError(
+                raise InvariantError(
                     "page differential left the accumulated subquotient")
             diffs.append(sol.submatrix(range(new_dims[i + 1]), range(new_dims[i])))
         pages.append(Complex(new_dims, diffs))

@@ -1,11 +1,18 @@
 """Dense exact matrices and the elimination kernels everything else uses.
 
-All basis-producing operations follow one deterministic convention: pivots
-are the first nonzero entry in column order, kernel vectors set the free
-coordinate to 1 in ascending index order, complements are grown greedily
-over standard basis vectors.  Reproducibility of these choices is what
-later makes spectral-sequence pages canonical objects with decidable
-equality.
+There is one Gauss-Jordan kernel, ``_rref``.  Its pivot in each column,
+left to right, is the first unused row whose entry is a unit: over a field
+any nonzero entry, over the local ring at t = 0 an entry of valuation 0.
+All basis-producing operations follow from it deterministically: kernel
+vectors set the free coordinate to 1 in ascending index order, and
+complements and extensions keep the pivot columns, i.e. each candidate
+that is independent of the columns before it.  Reproducibility of these
+choices is what later makes spectral-sequence pages canonical objects with
+decidable equality.  Rank over Q uses fraction-free elimination instead.
+
+The local ring also has elimination by minimal t-adic valuation, for ranks
+over Q(t) and the block splitting of families; its pivot is the entry that
+``min_valuation_entry`` finds.
 """
 
 from __future__ import annotations
@@ -126,11 +133,6 @@ class Matrix:
             out.append(acc)
         return out
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.domain, self.cols, self.rows,
-                      [[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.domain != other.domain:
             raise ValueError("hstack shape/domain mismatch")
@@ -163,11 +165,12 @@ def _require_field(M: Matrix, op: str):
                         "use the valuation-aware local-ring routines")
 
 
-def _rref(grid, rows, cols, zero):
-    """In-place reduced row echelon form; returns pivot column list.
+def _rref(grid, rows, cols, is_unit=bool):
+    """In-place Gauss-Jordan elimination; returns the pivot column list.
 
     Pivot choice: for each column left to right, the first row (top to
-    bottom among unused rows) with a nonzero entry.
+    bottom among unused rows) whose entry is a unit.  Over a field this is
+    the reduced row echelon form.
     """
     pivots = []
     r = 0
@@ -176,7 +179,7 @@ def _rref(grid, rows, cols, zero):
             break
         sel = None
         for i in range(r, rows):
-            if grid[i][j] != zero:
+            if is_unit(grid[i][j]):
                 sel = i
                 break
         if sel is None:
@@ -185,7 +188,7 @@ def _rref(grid, rows, cols, zero):
         inv = grid[r][j]
         grid[r] = [x / inv for x in grid[r]]
         for i in range(rows):
-            if i != r and grid[i][j] != zero:
+            if i != r and grid[i][j]:
                 c = grid[i][j]
                 grid[i] = [a - c * b for a, b in zip(grid[i], grid[r])]
         pivots.append(j)
@@ -197,7 +200,7 @@ def rref(M: Matrix):
     """Reduced row echelon form and pivot columns (deterministic)."""
     _require_field(M, "rref")
     grid = [list(row) for row in M.entries]
-    pivots = _rref(grid, M.rows, M.cols, M.domain.zero)
+    pivots = _rref(grid, M.rows, M.cols)
     return Matrix(M.domain, M.rows, M.cols, grid), pivots
 
 
@@ -277,25 +280,6 @@ def kernel_basis(M: Matrix) -> Matrix:
     return Matrix.from_columns(M.domain, M.cols, cols)
 
 
-def solve(M: Matrix, b):
-    """A solution x of Mx = b, or None if inconsistent.
-
-    Deterministic: free variables are set to zero.
-    """
-    _require_field(M, "solve")
-    if len(b) != M.rows:
-        raise ValueError("right-hand side length mismatch")
-    aug = Matrix(M.domain, M.rows, M.cols + 1,
-                 [list(row) + [b[i]] for i, row in enumerate(M.entries)])
-    R, pivots = rref(aug)
-    if M.cols in pivots:
-        return None
-    z = M.domain.zero
-    x = [z] * M.cols
-    for k, p in enumerate(pivots):
-        x[p] = R.entries[k][M.cols]
-    return x
-
 def solve_matrix(M: Matrix, B: Matrix):
     """Solve MX = B column by column; None if any column is inconsistent."""
     if M.rows != B.rows:
@@ -313,69 +297,35 @@ def solve_matrix(M: Matrix, B: Matrix):
 
 
 def inverse(M: Matrix) -> Matrix:
-    _require_field(M, "inverse")
-    if M.rows != M.cols:
+    """Inverse over a field, or over the local ring at t = 0 when M(0) is
+    invertible: Gauss-Jordan on unit pivots then never leaves the ring, and
+    the inverse is unique, so its entries are regular at t = 0."""
+    n = M.rows
+    if n != M.cols:
         raise ValueError("inverse of a non-square matrix")
-    aug = M.hstack(Matrix.identity(M.domain, M.rows))
-    R, pivots = rref(aug)
-    if pivots != list(range(M.rows)):
-        raise ValueError("matrix is singular")
-    return R.submatrix(range(M.rows), range(M.rows, 2 * M.rows))
-
-
-class _IndependenceTracker:
-    """Incremental rank oracle: feed candidate vectors, keep the independent
-    ones.  Maintains its own RREF of the accepted set."""
-
-    def __init__(self, domain: Domain, dim: int):
-        self.domain = domain
-        self.dim = dim
-        self.rows = []          # rref rows of accepted vectors
-        self.pivots = []
-
-    def try_add(self, vec) -> bool:
-        z = self.domain.zero
-        v = [self.domain.coerce(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != z:
-                c = v[p]
-                v = [a - c * b for a, b in zip(v, row)]
-        piv = None
-        for j in range(self.dim):
-            if v[j] != z:
-                piv = j
-                break
-        if piv is None:
-            return False
-        v = [x / v[piv] for x in v]
-        for k in range(len(self.rows)):
-            if self.rows[k][piv] != z:
-                c = self.rows[k][piv]
-                self.rows[k] = [a - c * b for a, b in zip(self.rows[k], v)]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    z, o = M.domain.zero, M.domain.one
+    grid = [list(row) + [o if i == j else z for j in range(n)]
+            for i, row in enumerate(M.entries)]
+    is_unit = bool if M.domain.is_field else RatFun.is_unit
+    if _rref(grid, n, 2 * n, is_unit) != list(range(n)):
+        raise ValueError("matrix is singular" if M.domain.is_field
+                         else "matrix is not invertible at t = 0")
+    return Matrix(M.domain, n, n, [row[n:] for row in grid])
 
 
 def extend_columns(domain: Domain, dim: int, base_cols, candidates):
     """Greedily extend base_cols by candidates that increase the rank.
 
-    Returns the accepted candidates in input order.  base_cols must be
-    independent.
+    Returns the accepted candidates in input order: the pivot columns of
+    [base | candidates] after the base.  base_cols must be independent.
     """
-    tracker = _IndependenceTracker(domain, dim)
-    for col in base_cols:
-        if not tracker.try_add(col):
-            raise ValueError("dependent base columns")
-    accepted = []
-    for col in candidates:
-        if tracker.try_add(col):
-            accepted.append([domain.coerce(x) for x in col])
-    return accepted
+    base = [[domain.coerce(x) for x in col] for col in base_cols]
+    cols = base + [[domain.coerce(x) for x in col] for col in candidates]
+    grid = [[col[i] for col in cols] for i in range(dim)]
+    pivots = _rref(grid, dim, len(cols))
+    if pivots[:len(base)] != list(range(len(base))):
+        raise ValueError("dependent base columns")
+    return [cols[j] for j in pivots[len(base):]]
 
 
 def complement_basis(sub: Matrix, ambient_dim: int) -> Matrix:
@@ -406,6 +356,25 @@ def local_rank(M: Matrix) -> int:
     return len(local_pivot_elimination(M)[1])
 
 
+def min_valuation_entry(grid, rows, cols):
+    """(valuation, i, j) of the first nonzero entry of least t-adic
+    valuation among grid[i][j], i in rows, j in cols, in row-major order;
+    None if all of them are zero.  A unit ends the scan: nothing in the
+    local ring has lower valuation."""
+    best = None
+    for i in rows:
+        row = grid[i]
+        for j in cols:
+            x = row[j]
+            if x:
+                v = x.valuation()
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+                    if v == 0:
+                        return best
+    return best
+
+
 def local_pivot_elimination(M: Matrix):
     """Eliminate with minimal-valuation pivoting.
 
@@ -419,19 +388,10 @@ def local_pivot_elimination(M: Matrix):
     pivot_entries = []
     pivot_positions = []
     while live_rows and live_cols:
-        best = None
-        best_val = None
-        for i in live_rows:
-            for j in live_cols:
-                x = grid[i][j]
-                if x.is_zero():
-                    continue
-                v = x.valuation()
-                if best_val is None or v < best_val:
-                    best, best_val = (i, j), v
+        best = min_valuation_entry(grid, live_rows, live_cols)
         if best is None:
             break
-        pi, pj = best
+        _, pi, pj = best
         piv = grid[pi][pj]
         pivot_entries.append(piv)
         pivot_positions.append((pi, pj))
@@ -444,53 +404,6 @@ def local_pivot_elimination(M: Matrix):
         live_rows.remove(pi)
         live_cols.remove(pj)
     return pivot_entries, pivot_positions
-
-
-def local_inverse(M: Matrix) -> Matrix:
-    """Inverse of a local-ring matrix whose determinant is a unit.
-
-    Gauss-Jordan with minimal-valuation pivoting; all pivots come out with
-    valuation 0, so every entry of the inverse is regular at t = 0.
-    """
-    if M.domain != LOCAL:
-        raise TypeError("local_inverse expects local-ring entries")
-    n = M.rows
-    if n != M.cols:
-        raise ValueError("inverse of a non-square matrix")
-    grid = [list(row) + [RatFun(1) if i == j else RatFun(0) for j in range(n)]
-            for i, row in enumerate(M.entries)]
-    used_rows: list[int] = []
-    col_of_row = {}
-    remaining_rows = list(range(n))
-    remaining_cols = list(range(n))
-    while remaining_cols:
-        best = None
-        best_val = None
-        for i in remaining_rows:
-            for j in remaining_cols:
-                x = grid[i][j]
-                if x.is_zero():
-                    continue
-                v = x.valuation()
-                if best_val is None or v < best_val:
-                    best, best_val = (i, j), v
-        if best is None or best_val != 0:
-            raise ValueError("matrix is not invertible at t = 0")
-        pi, pj = best
-        piv = grid[pi][pj]
-        grid[pi] = [x / piv for x in grid[pi]]
-        for i in range(n):
-            if i != pi and not grid[i][pj].is_zero():
-                c = grid[i][pj]
-                grid[i] = [a - c * b for a, b in zip(grid[i], grid[pi])]
-        used_rows.append(pi)
-        col_of_row[pi] = pj
-        remaining_rows.remove(pi)
-        remaining_cols.remove(pj)
-    out = [[None] * n for _ in range(n)]
-    for i in used_rows:
-        out[col_of_row[i]] = grid[i][n:]
-    return Matrix(LOCAL, n, n, out)
 
 
 def local_from_rational(M: Matrix) -> Matrix:

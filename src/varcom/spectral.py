@@ -53,15 +53,6 @@ class SpectralSequence:
     def ambient_dims(self) -> GradedDims:
         return self.pages[0].dims
 
-    @property
-    def num_differentials(self) -> int:
-        """Number of pages bearing (possibly zero) differential data before
-        the final page."""
-        return len(self.pages) - 1
-
-    def differential(self, nu: int) -> Complex:
-        return self.pages[nu]
-
     def basis_data(self, nu: int) -> CohomologyData:
         """Canonical lift/projection identifying page nu with the
         cohomology of page nu - 1."""
@@ -230,8 +221,3 @@ def normalize(ss, variant: str = _AFFINE) -> CompleteComplex:
                 page = _scale_page(page, c)
         out.append(page)
     return CompleteComplex(SpectralSequence(out), variant)
-
-
-def equals(cc1: CompleteComplex, cc2: CompleteComplex) -> bool:
-    """Structural equality of normalized representatives."""
-    return cc1 == cc2

@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import complexes as cx
 from . import degeneration as dg
 from . import strata as st
-from .linalg import Matrix, inverse, local_inverse, rank
+from .linalg import Matrix, inverse, rank
 from .rings import GF, LOCAL, QQ, QPoly, RatFun
 
 
@@ -352,7 +352,7 @@ def plant_block_family(rng: random.Random, dims: st.GradedDims,
         diffs.append(Matrix(LOCAL, rows, cols, grid))
     base = dg.PolyComplex(dims, diffs)
     g = [_random_local_invertible(rng, n) for n in dims]
-    ginv = [local_inverse(gi) for gi in g]
+    ginv = [inverse(gi) for gi in g]
     conj = [g[i + 1] @ base.diffs[i] @ ginv[i] for i in range(dims.m)]
     return dg.PolyComplex(dims, conj), tuple(sorted(planted)), rho
 

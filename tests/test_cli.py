@@ -1,9 +1,15 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from varcom import cli, formats
+from varcom.degeneration import PolyComplex
+from varcom.linalg import Matrix
+from varcom.rings import LOCAL
 from varcom.strata import GradedDims
 from varcom.suites import SuiteReport
 
@@ -155,6 +161,20 @@ class TestLimit:
         f.write_text(json.dumps(doc))
         assert cli.main(["limit", str(f)]) == 2
 
+    def test_invariant_violation_is_exit_1(self, monkeypatch, capsys):
+        # A family that got past validation with D^2 != 0: the block
+        # decomposition's detachment check fails, which is not bad input.
+        def broken_family(doc):
+            pc = PolyComplex.__new__(PolyComplex)
+            pc.dims = GradedDims((1, 1, 1))
+            pc.diffs = (Matrix(LOCAL, 1, 1, [[1]]), Matrix(LOCAL, 1, 1, [[1]]))
+            return pc
+        monkeypatch.setattr(cli.formats, "parse_family", broken_family)
+        path = str(ROOT / "demos/families/pencil_1_t.json")
+        assert cli.main(["limit", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violated:") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_census(self, capsys):
@@ -193,3 +213,29 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "nonsense"])
         assert exc.value.code == 2
+
+    def test_negative_cases_rejected(self, capsys):
+        assert cli.main(["verify", "--suite", "random", "--cases", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--cases" in captured.err and captured.err.count("\n") == 1
+
+    def test_degeneration_max_m(self, capsys):
+        assert cli.main(["verify", "--suite", "degeneration", "--seed", "1",
+                         "--cases", "2", "--max-m", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["max_m"] == 1
+
+    def test_closed_stdout_pipe(self):
+        # Over 64 KiB of JSON, so the writer is still writing when the
+        # reader closes the pipe after one line.
+        src = str(ROOT / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "varcom.cli", "poset", "--json",
+             "--dims", ",".join(["1"] * 13)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""

@@ -1,15 +1,19 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from varcom.complexes import NotAComplexError, rank_vector, validate
-from varcom.degeneration import (PolyComplex, dvr_decompose,
+from varcom.degeneration import (InvariantError, PolyComplex, dvr_decompose,
                                  exponent_rank_table, filtered_oracle,
                                  generic_rank_vector, limit_complete_complex,
                                  page_table_from_multiplicities,
                                  validate_family)
-from varcom.linalg import Matrix, local_inverse
+from varcom.linalg import Matrix, inverse
 from varcom.rings import LOCAL, QPoly, RatFun
 from varcom.spectral import normalize
 from varcom.strata import GradedDims
@@ -102,6 +106,34 @@ class TestDecompose:
         assert sorted(a for (_, a) in dec.block_multiset()) == [0, 1]
         ginv = dec.g_inverse()
         assert dec.g[1] @ pc.diffs[0] @ ginv[0] == dec.block_form()[0]
+
+    def test_undetached_block_is_invariant_error(self):
+        # D_1 D_0 = 1, built past validation: the first block cannot detach.
+        pc = PolyComplex.__new__(PolyComplex)
+        pc.dims = GradedDims((1, 1, 1))
+        pc.diffs = (lmat(1, 1, [[ONE]]), lmat(1, 1, [[ONE]]))
+        with pytest.raises(InvariantError, match="did not detach"):
+            dvr_decompose(pc)
+
+    def test_undetached_block_is_invariant_error_under_O(self):
+        script = (
+            "from varcom.degeneration import InvariantError, PolyComplex, dvr_decompose\n"
+            "from varcom.linalg import Matrix\n"
+            "from varcom.rings import LOCAL\n"
+            "from varcom.strata import GradedDims\n"
+            "pc = PolyComplex.__new__(PolyComplex)\n"
+            "pc.dims = GradedDims((1, 1, 1))\n"
+            "pc.diffs = (Matrix(LOCAL, 1, 1, [[1]]), Matrix(LOCAL, 1, 1, [[1]]))\n"
+            "try:\n"
+            "    dvr_decompose(pc)\n"
+            "except InvariantError:\n"
+            "    print('raised')\n")
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "raised\n"
 
 
 class TestGenericRank:
@@ -205,7 +237,7 @@ class TestInvariances:
         pc = diag_family(0, 1)
         g1 = lmat(2, 2, [[ONE, ONE], [ZERO, ONE]])
         g0 = lmat(2, 2, [[ONE, ZERO], [RatFun(2), ONE]])
-        conj = [g1 @ pc.diffs[0] @ local_inverse(g0)]
+        conj = [g1 @ pc.diffs[0] @ inverse(g0)]
         pc2 = PolyComplex(pc.dims, conj)
         l1 = limit_complete_complex(pc)
         l2 = limit_complete_complex(pc2)

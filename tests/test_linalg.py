@@ -3,15 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from varcom.linalg import (Matrix, complement_basis, inverse, kernel_basis,
-                           local_at_zero, local_eval, local_inverse,
+from varcom.linalg import (Matrix, complement_basis, extend_columns, inverse,
+                           kernel_basis, local_at_zero, local_eval,
                            local_pivot_elimination, local_rank, rank, rref,
-                           solve, solve_matrix)
+                           solve_matrix)
 from varcom.rings import GF, LOCAL, QQ, QPoly, RatFun
+from varcom.suites import _random_local_invertible
 
 
 def qmat(rows):
     return Matrix(QQ, len(rows), len(rows[0]) if rows else 0, rows)
+
+
+def solve(M, b):
+    """One-column solve_matrix: a solution of Mx = b as a list, or None."""
+    x = solve_matrix(M, Matrix.from_columns(M.domain, M.rows, [b]))
+    return None if x is None else x.column(0)
 
 
 class TestRank:
@@ -121,6 +128,41 @@ class TestComplement:
         with pytest.raises(ValueError):
             complement_basis(sub, 2)
 
+    @pytest.mark.parametrize("domain", [QQ, GF(5)], ids=str)
+    def test_greedy_reference(self, domain):
+        """extend_columns and complement_basis against a brute-force greedy
+        loop that accepts a candidate iff the rank grows."""
+        rng = random.Random(23)
+
+        def span_rank(dim, cols):
+            return rank(Matrix.from_columns(domain, dim, cols)) if cols else 0
+
+        def greedy(dim, base, candidates):
+            kept = []
+            for col in candidates:
+                if span_rank(dim, base + kept + [col]) > span_rank(dim, base + kept):
+                    kept.append(col)
+            return kept
+
+        def vec(dim):
+            # small entries and many zeros, so dependencies are common
+            return [domain.coerce(rng.choice([0, 0, 0, 1, -1, 2]))
+                    for _ in range(dim)]
+
+        for _ in range(60):
+            dim = rng.randint(0, 5)
+            base = greedy(dim, [], [vec(dim) for _ in range(rng.randint(0, 3))])
+            cands = [vec(dim) for _ in range(rng.randint(0, 6))]
+            assert extend_columns(domain, dim, base, cands) == greedy(dim, base, cands)
+            std = [[domain.one if i == j else domain.zero for i in range(dim)]
+                   for j in range(dim)]
+            sub = Matrix.from_columns(domain, dim, base)
+            assert complement_basis(sub, dim).columns() == greedy(dim, base, std)
+            dependent = [x + y for x, y in zip(base[0], base[-1])] if base else None
+            if dependent is not None:
+                with pytest.raises(ValueError, match="dependent base"):
+                    extend_columns(domain, dim, base + [dependent], cands)
+
 
 class TestLocalElimination:
     def test_local_rank_diag(self):
@@ -163,7 +205,7 @@ class TestLocalElimination:
     def test_local_inverse(self):
         t = RatFun(QPoly.t())
         m = Matrix(LOCAL, 2, 2, [[RatFun(1), t], [t, RatFun(1)]])
-        inv = local_inverse(m)
+        inv = inverse(m)
         assert m @ inv == Matrix.identity(LOCAL, 2)
         assert inv @ m == Matrix.identity(LOCAL, 2)
 
@@ -171,7 +213,22 @@ class TestLocalElimination:
         t = RatFun(QPoly.t())
         m = Matrix(LOCAL, 2, 2, [[t, RatFun(0)], [RatFun(0), RatFun(1)]])
         with pytest.raises(ValueError):
-            local_inverse(m)
+            inverse(m)
+
+    def test_local_inverse_random(self):
+        rng = random.Random(17)
+        t = RatFun(QPoly.t())
+        for _ in range(25):
+            n = rng.randint(1, 4)
+            m = _random_local_invertible(rng, n)
+            assert inverse(m) @ m == Matrix.identity(LOCAL, n)
+            # Multiplying one row by t makes M(0) singular, while M stays
+            # invertible over Q(t).
+            k = rng.randrange(n)
+            grid = [list(row) for row in m.entries]
+            grid[k] = [t * x for x in grid[k]]
+            with pytest.raises(ValueError, match="not invertible at t = 0"):
+                inverse(Matrix(LOCAL, n, n, grid))
 
     def test_at_zero(self):
         t = RatFun(QPoly.t())

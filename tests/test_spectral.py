@@ -2,7 +2,7 @@ import pytest
 
 from varcom.complexes import Complex, rank_vector, validate
 from varcom.spectral import (SpectralSequence,
-                             canonical_ss_from_chain, equals, normalize,
+                             canonical_ss_from_chain, normalize,
                              stratum_label, validate_reduced)
 from varcom.strata import Chain, GradedDims, RankVector, enumerate_chains
 
@@ -140,14 +140,14 @@ class TestNormalizeEquals:
     def test_idempotent(self):
         cc = normalize(two_page_22())
         again = normalize(cc.ss)
-        assert equals(cc, again)
+        assert cc == again
 
     def test_scaling_invariance(self):
         e0 = validate((2, 2), [[[1, 0], [0, 0]]])
         e1 = validate((1, 1), [[[7]]])
         e2 = Complex.zero(GradedDims((0, 0)))
         scaled = SpectralSequence([e0, e1, e2])
-        assert equals(normalize(scaled), normalize(two_page_22()))
+        assert normalize(scaled) == normalize(two_page_22())
 
     def test_affine_keeps_d0(self):
         e0 = validate((2, 2), [[[3, 0], [0, 0]]])
@@ -167,7 +167,7 @@ class TestNormalizeEquals:
 
     def test_self_equality(self):
         cc = normalize(two_page_22())
-        assert equals(cc, cc)
+        assert cc == cc
 
     def test_distinct_chains_differ(self):
         dims = GradedDims((1, 1, 1))
@@ -175,13 +175,13 @@ class TestNormalizeEquals:
         built = [canonical_ss_from_chain(c) for c in chains]
         for i in range(len(built)):
             for j in range(len(built)):
-                assert equals(built[i], built[j]) == (i == j)
+                assert (built[i] == built[j]) == (i == j)
 
     def test_single_page_expansion(self):
         ss = SpectralSequence([Complex.zero(GradedDims((2, 0)))])
         cc = normalize(ss)
         assert len(cc.pages) == 2
-        assert equals(cc, normalize(cc.ss))
+        assert cc == normalize(cc.ss)
 
     def test_variant_mismatch(self):
         cc = normalize(two_page_22(), "affine")
