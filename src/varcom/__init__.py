@@ -11,9 +11,10 @@ are canonical and equality is decidable.
 """
 
 from .complexes import (CohomologyData, Complex, GradedMap, NotAComplexError,
-                        assemble_D_delta, chart_jacobian_rank, cohomology,
-                        morphism_space, nullhomotopic_space, rank_vector,
-                        split_canonical, stabilizer_dim, validate)
+                        assemble_D_delta, canonical_representative,
+                        chart_jacobian_rank, cohomology, morphism_space,
+                        nullhomotopic_space, rank_vector, split_canonical,
+                        stabilizer_dim, validate)
 from .degeneration import (Block, DVRDecomposition, InvariantError,
                            LimitResult, PolyComplex, TruncationTooSmall,
                            dvr_decompose, exponent_rank_table, filtered_oracle,
@@ -25,9 +26,9 @@ from .rings import GF, INF, LOCAL, QQ, GFElement, QPoly, RatFun, valuation
 from .spectral import (CompleteComplex, SpectralSequence, StratumLabel,
                        canonical_ss_from_chain, normalize,
                        stratum_label, validate_reduced)
-from .strata import (Chain, GradedDims, RankVector, canonical_representative,
-                     covering_relations, enumerate_R, enumerate_chains,
-                     hasse_dot, is_maximal, maximal_elements, stratum_dim)
+from .strata import (Chain, GradedDims, RankVector, covering_relations,
+                     enumerate_R, enumerate_chains, hasse_dot, is_maximal,
+                     maximal_elements, stratum_dim)
 
 __version__ = "0.1.0"
 
@@ -36,12 +37,12 @@ __all__ = [
     "Matrix", "rank", "kernel_basis", "complement_basis", "inverse",
     "local_rank", "local_at_zero",
     "GradedDims", "RankVector", "Chain", "enumerate_R", "is_maximal",
-    "maximal_elements", "covering_relations", "canonical_representative",
-    "stratum_dim", "enumerate_chains", "hasse_dot",
+    "maximal_elements", "covering_relations", "stratum_dim",
+    "enumerate_chains", "hasse_dot",
     "Complex", "GradedMap", "CohomologyData", "NotAComplexError", "validate",
     "rank_vector", "cohomology", "split_canonical", "morphism_space",
     "nullhomotopic_space", "stabilizer_dim", "assemble_D_delta",
-    "chart_jacobian_rank",
+    "chart_jacobian_rank", "canonical_representative",
     "SpectralSequence", "CompleteComplex", "StratumLabel", "validate_reduced",
     "stratum_label", "canonical_ss_from_chain", "normalize",
     "PolyComplex", "Block", "DVRDecomposition", "LimitResult",

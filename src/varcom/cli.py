@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on a mathematical failure (oracle
-disagreement, failing verification suite, violated invariant), 2 on
-malformed input or flags.  A reader that closes stdout early (``| head``)
-is not a failure: exit 0.
+disagreement, failing verification suite, violated invariant) or an
+internal error, 2 on malformed input or flags.  A reader that closes
+stdout early (``| head``) is not a failure: exit 0.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from . import degeneration as dg
 from . import formats
 from . import strata as st
 from . import suites
+from .rings import SMALL_PRIMES
+
+# Largest unrolled dimension sum(n) * N that ``limit --oracle N`` accepts.
+ORACLE_MAX_UNROLLED = 128
 
 
 def _parse_dims_flag(text: str) -> st.GradedDims:
@@ -28,31 +32,38 @@ def _parse_dims_flag(text: str) -> st.GradedDims:
         raise formats.DocumentError(f"bad --dims {text!r}: {exc}") from exc
 
 
+def _open_output(path: str, flag: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise formats.DocumentError(
+            f"cannot write {flag} {path}: {exc.strerror}") from exc
+
+
 def cmd_poset(args) -> int:
     dims = _parse_dims_flag(args.dims)
-    R = st.enumerate_R(dims)
-    maximal = set(st.maximal_elements(dims))
     rows = []
-    for rv in R:
+    for rv in st.enumerate_R(dims):
         rows.append({
             "r": list(rv.r),
             "length": rv.length(),
-            "maximal": rv in maximal,
+            "maximal": st.is_maximal(rv),
             "h": list(rv.cohomology_dims()),
             "stratum_dim": st.stratum_dim(rv),
         })
+    if args.dot:
+        with _open_output(args.dot, "--dot") as fh:
+            fh.write(st.hasse_dot(dims) + "\n")
     if args.json:
         print(json.dumps({"dims": list(dims.n), "poset": rows}, indent=2))
     else:
         print(f"rank poset for dims {dims.n}: {len(rows)} strata, "
-              f"{len(maximal)} maximal")
+              f"{sum(row['maximal'] for row in rows)} maximal")
         for row in rows:
             mark = "max" if row["maximal"] else "   "
             print(f"  r={tuple(row['r'])} |r|={row['length']} {mark} "
                   f"h={tuple(row['h'])} dim={row['stratum_dim']}")
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(st.hasse_dot(dims) + "\n")
         print(f"wrote Hasse diagram to {args.dot}")
     return 0
 
@@ -72,6 +83,12 @@ def _page_report(limit: dg.LimitResult) -> list[str]:
 def cmd_limit(args) -> int:
     doc = formats.load_json(args.family)
     pc = formats.parse_family(doc)
+    unrolled = pc.dims.total() * (args.oracle or 0)
+    if unrolled > ORACLE_MAX_UNROLLED:
+        print(f"error: --oracle {args.oracle} unrolls to sum(n) * N = "
+              f"{unrolled}, above the limit {ORACLE_MAX_UNROLLED}",
+              file=sys.stderr)
+        return 2
     dec = dg.dvr_decompose(pc)
     limit = dg.limit_complete_complex(pc, dec)
     mult = dec.multiplicities()
@@ -106,7 +123,7 @@ def cmd_limit(args) -> int:
         payload["oracle"] = "agree" if oracle_status else "disagree"
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with _open_output(args.json, "--json") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         print(f"wrote limit data to {args.json}")
@@ -154,9 +171,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    bad = None
     if args.cases < 0:
-        print(f"error: --cases must be non-negative, got {args.cases}",
-              file=sys.stderr)
+        bad = f"--cases must be non-negative, got {args.cases}"
+    elif args.max_m < 1:
+        bad = f"--max-m must be at least 1, got {args.max_m}"
+    elif args.max_dim < 1:
+        bad = f"--max-dim must be at least 1, got {args.max_dim}"
+    elif args.suite == "census" and args.p not in SMALL_PRIMES:
+        bad = f"--p must be a prime <= 97, got {args.p}"
+    if bad is not None:
+        print(f"error: {bad}", file=sys.stderr)
         return 2
     if args.suite == "census":
         dims = _parse_dims_flag(args.dims or "1,1,1")
@@ -236,10 +261,13 @@ def main(argv=None) -> int:
     except dg.InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        # DocumentError, NotAComplexError and CensusBudgetError included
+    except (formats.DocumentError, cx.NotAComplexError,
+            suites.CensusBudgetError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

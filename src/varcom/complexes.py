@@ -73,6 +73,22 @@ class Complex:
         return f"Complex(dims={self.dims.n}, ranks={rank_vector(self).r})"
 
 
+def canonical_representative(rv: RankVector, domain: Domain = QQ) -> Complex:
+    """The block complex with rank vector rv: component i has an identity
+    of size r_{i+1} whose columns start at offset r_i, so consecutive
+    components compose to zero."""
+    dims = rv.dims
+    full = (0,) + rv.r + (0,)
+    diffs = []
+    for i in range(dims.m):
+        rows, cols = dims[i + 1], dims[i]
+        grid = [[domain.zero] * cols for _ in range(rows)]
+        for k in range(full[i + 1]):
+            grid[k][full[i] + k] = domain.one
+        diffs.append(Matrix(domain, rows, cols, grid))
+    return Complex(dims, diffs)
+
+
 def validate(dims, raw_diffs, domain: Domain = QQ) -> Complex:
     """Build a Complex from raw entry grids, rejecting non-complexes."""
     dims = dims if isinstance(dims, GradedDims) else GradedDims(dims)

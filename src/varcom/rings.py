@@ -16,7 +16,7 @@ from fractions import Fraction
 
 INF = math.inf
 
-_SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97}
 
 
@@ -210,12 +210,6 @@ class QPoly:
         for c in reversed(self.coeffs):
             acc = acc * inner + QPoly.const(c)
         return acc
-
-    def shift(self, k: int) -> "QPoly":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return QPoly((Fraction(0),) * k + self.coeffs)
 
     def series_inverse(self, order: int) -> "QPoly":
         """Power-series inverse mod t^order; requires coeff(0) != 0."""
@@ -429,7 +423,7 @@ _gf_cache: dict[int, Domain] = {}
 
 def GF(p: int) -> Domain:
     """The field F_p for a prime p <= 97."""
-    if p not in _SMALL_PRIMES:
+    if p not in SMALL_PRIMES:
         raise ValueError(f"p = {p} is not a prime <= 97")
     if p not in _gf_cache:
         def coerce(x, p=p):

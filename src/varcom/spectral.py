@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .complexes import CohomologyData, Complex, cohomology, rank_vector
+from .complexes import (CohomologyData, Complex, canonical_representative,
+                        cohomology, rank_vector)
 from .strata import Chain, GradedDims, RankVector
 
 
@@ -126,8 +127,6 @@ def canonical_ss_from_chain(label: StratumLabel) -> "CompleteComplex":
     """The canonical reduced spectral sequence with the given label: every
     differential is the canonical block representative of the residual
     rank vector, so pages literally live on standard coordinates."""
-    from .strata import canonical_representative
-
     if label.terminal is None:
         raise ValueError("a complete label needs a terminal maximal element")
     amb = label.dims

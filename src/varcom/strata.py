@@ -10,13 +10,14 @@ Elements of R label the isomorphism classes (group orbits) of complexes on
 the graded space; maximal elements label irreducible components; strictly
 increasing sequences in R label boundary strata of the compactification by
 spectral sequences.
+
+Everything here is arithmetic on (n, r): the module imports nothing from
+the package and does no linear algebra.
 """
 
 from __future__ import annotations
 
 from itertools import product
-
-from .rings import QQ, Domain
 
 
 class GradedDims:
@@ -116,13 +117,6 @@ class RankVector:
         return tuple(self.dims[i] - full[i] - full[i + 1]
                      for i in range(self.dims.m + 1))
 
-    def sparse_criterion(self) -> bool:
-        """Whether the cohomology dimensions are sparse.  Agrees with
-        poset-theoretic maximality (checked exhaustively in the suites,
-        not assumed)."""
-        h = self.cohomology_dims()
-        return all(h[i] * h[i + 1] == 0 for i in range(len(h) - 1))
-
     def __eq__(self, other):
         return (isinstance(other, RankVector) and self.dims == other.dims
                 and self.r == other.r)
@@ -135,7 +129,7 @@ class RankVector:
 
 
 def enumerate_R(dims: GradedDims) -> list[RankVector]:
-    """All rank vectors for dims, lexicographically ordered."""
+    """All rank vectors for dims, in lexicographic order (product's order)."""
     m = dims.m
     if m == 0:
         return [RankVector(dims, ())]
@@ -145,18 +139,23 @@ def enumerate_R(dims: GradedDims) -> list[RankVector]:
         full = (0,) + r + (0,)
         if all(full[i] + full[i + 1] <= dims[i] for i in range(m + 1)):
             out.append(RankVector(dims, r))
-    out.sort(key=lambda rv: rv.r)
     return out
 
 
 def is_maximal(rv: RankVector) -> bool:
-    """Poset-theoretic maximality by brute force over R."""
-    return not any(rv < other for other in enumerate_R(rv.dims))
+    """Whether rv is maximal in R: exactly when its cohomology dimensions
+    h are sparse.
+
+    If r < s in R, pick i with s_i > r_i; then r + e_i <= s, and the
+    constraints of R are monotone, so r + e_i lies in R.  Hence r is
+    maximal iff no +e_i step stays in R.  The step raises exactly
+    r_{i-1} + r_i and r_i + r_{i+1}, so it is legal iff h_{i-1} >= 1 and
+    h_i >= 1."""
+    return GradedDims(rv.cohomology_dims()).is_sparse()
 
 
 def maximal_elements(dims: GradedDims) -> list[RankVector]:
-    R = enumerate_R(dims)
-    return [r for r in R if not any(r < s for s in R)]
+    return [r for r in enumerate_R(dims) if is_maximal(r)]
 
 
 def covering_relations(dims: GradedDims) -> list[tuple[RankVector, RankVector]]:
@@ -172,32 +171,20 @@ def covering_relations(dims: GradedDims) -> list[tuple[RankVector, RankVector]]:
     return out
 
 
-def canonical_representative(rv: RankVector, domain: Domain = QQ):
-    """The block complex with rank vector rv: component i has an identity
-    of size r_{i+1} whose columns start at offset r_i, so consecutive
-    components compose to zero."""
-    from .complexes import Complex  # complexes builds on this module
-
-    dims = rv.dims
-    full = (0,) + rv.r + (0,)
-    diffs = []
-    for i in range(dims.m):
-        rows, cols = dims[i + 1], dims[i]
-        grid = [[domain.zero] * cols for _ in range(rows)]
-        for k in range(full[i + 1]):
-            grid[k][full[i] + k] = domain.one
-        from .linalg import Matrix
-        diffs.append(Matrix(domain, rows, cols, grid))
-    return Complex(dims, diffs)
-
-
 def stratum_dim(rv: RankVector) -> int:
-    """Dimension of the group orbit labelled by rv: dim of the acting
-    group minus the stabilizer of the canonical representative."""
-    from .complexes import stabilizer_dim
+    """Dimension of the group orbit labelled by rv:
+    sum_i r_{i+1} (n_i + n_{i+1} - r_i - r_{i+1}), with r_0 = 0.
 
-    total_gl = sum(x * x for x in rv.dims)
-    return total_gl - stabilizer_dim(canonical_representative(rv))
+    A complex in the orbit is the same as, in each degree, a flag
+    B^i <= Z^i <= V^i of image and kernel (dimensions r_i and
+    n_i - r_{i+1}) with an isomorphism V^i / Z^i -> B^{i+1}.  The flag
+    contributes r_i (n_i - r_i) + r_{i+1} (n_i - r_i - r_{i+1}) and the
+    isomorphism r_{i+1}^2; moving the first term down one degree and
+    summing gives the formula."""
+    full = (0,) + rv.r
+    n = rv.dims
+    return sum(full[i + 1] * (n[i] + n[i + 1] - full[i] - full[i + 1])
+               for i in range(n.m))
 
 
 class Chain:
@@ -261,10 +248,9 @@ def enumerate_chains(dims: GradedDims, projective: bool = False) -> list[Chain]:
     With projective=True, chains whose first element is the zero vector
     are excluded (the projectivized stratification never sees the origin).
     """
-    R = enumerate_R(dims)
-    maximal = [r for r in R if not any(r < s for s in R)]
-    maximal_set = set(maximal)
-    proper = [r for r in R if r not in maximal_set]
+    maximal, proper = [], []
+    for r in enumerate_R(dims):
+        (maximal if is_maximal(r) else proper).append(r)
 
     chains: list[Chain] = []
 
@@ -289,16 +275,13 @@ def enumerate_chains(dims: GradedDims, projective: bool = False) -> list[Chain]:
 def hasse_dot(dims: GradedDims) -> str:
     """Graphviz DOT digraph of the covering relations of R; maximal
     elements are drawn as boxes."""
-    R = enumerate_R(dims)
-    maximal = set(maximal_elements(dims))
-
     def node_id(rv):
         return '"' + ",".join(str(x) for x in rv.r) + '"' if rv.r else '"0"'
 
     lines = ["digraph rank_poset {"]
     lines.append('  rankdir="BT";')
-    for rv in R:
-        shape = "box" if rv in maximal else "ellipse"
+    for rv in enumerate_R(dims):
+        shape = "box" if is_maximal(rv) else "ellipse"
         label = "(" + ",".join(str(x) for x in rv.r) + ")" if rv.r else "()"
         lines.append(f"  {node_id(rv)} [label=\"{label}\", shape={shape}];")
     for low, high in covering_relations(dims):

@@ -175,7 +175,7 @@ def exhaustive_field_census(dims, p: int, budget: int = 10 ** 7) -> SuiteReport:
 
     covered = set()
     for rv in R:
-        canon = st.canonical_representative(rv, dom)
+        canon = cx.canonical_representative(rv, dom)
         start = tuple(tuple(tuple(x.v for x in row) for row in d.entries)
                       for d in canon.diffs)
         orbit = {start}
@@ -230,7 +230,7 @@ def random_complex(rng: random.Random, dims: st.GradedDims):
     """A random point of a random stratum: conjugated canonical form."""
     R = st.enumerate_R(dims)
     rv = rng.choice(R)
-    canon = st.canonical_representative(rv)
+    canon = cx.canonical_representative(rv)
     g = cx.GradedMap(dims, 0, [_random_unimodular(rng, n) for n in dims])
     return g.conjugate(canon), rv
 
@@ -281,12 +281,12 @@ def random_rational_suite(seed: int, max_m: int = 4, max_n: int = 5,
         g, r2 = cx.split_canonical(c)
         if r2 != rv:
             fail("split rank vector mismatch", got=r2.r)
-        if g.conjugate(c) != st.canonical_representative(rv):
+        if g.conjugate(c) != cx.canonical_representative(rv):
             fail("split conjugation does not reach the canonical form")
 
         hd = st.GradedDims(h)
         delta_rv = rng.choice(st.enumerate_R(hd))
-        delta = st.canonical_representative(delta_rv)
+        delta = cx.canonical_representative(delta_rv)
         assembled = cx.assemble_D_delta(c, list(delta.diffs))
         if not isinstance(assembled, cx.Complex):
             fail("assembled differential with square-zero delta not a complex")
@@ -408,7 +408,7 @@ def degeneration_suite(seed: int, cases: int = 100, max_m: int = 3,
         if cx.rank_vector(limit.ss.pages[0]).r != \
                 tuple(mult.get((i, 0), 0) for i in range(dims.m)):
             fail("page-0 ranks differ from exponent-0 multiplicities")
-        if limit.reduced != rho.sparse_criterion():
+        if limit.reduced != st.is_maximal(rho):
             fail("reduced flag differs from maximality of the generic ranks")
         if limit.reduced and limit.label.terminal != grv:
             fail("terminal label differs from generic rank vector")

@@ -20,6 +20,14 @@ FAMILIES = sorted((ROOT / "demos" / "families").glob("*.json"))
 COMPLEXES = sorted((ROOT / "demos" / "complexes").glob("*.json"))
 
 
+def run_cli(args, timeout=30):
+    """varcom in a subprocess, so an input that hangs fails the test."""
+    return subprocess.run(
+        [sys.executable, "-m", "varcom.cli", *args], capture_output=True,
+        text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+
 class TestDocuments:
     @pytest.mark.parametrize("path", COMPLEXES, ids=lambda p: p.stem)
     def test_complex_round_trip(self, path):
@@ -77,6 +85,13 @@ class TestPoset:
         assert cli.main(["poset", "--dims", "1,2,1", "--dot", str(dot_file)]) == 0
         nodes, edges = check_dot(dot_file.read_text())
         assert (nodes, edges) == (4, 4)
+
+    def test_unwritable_dot(self, tmp_path, capsys):
+        dot_file = tmp_path / "missing" / "x.dot"
+        assert cli.main(["poset", "--dims", "1,1", "--dot", str(dot_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--dot" in captured.err and captured.err.count("\n") == 1
 
     def test_dot_grammar_all_sizes(self, tmp_path):
         from varcom.strata import hasse_dot
@@ -161,6 +176,30 @@ class TestLimit:
         f.write_text(json.dumps(doc))
         assert cli.main(["limit", str(f)]) == 2
 
+    def test_oracle_budget(self):
+        proc = run_cli(["limit", str(ROOT / "demos/families/pencil_1_t.json"),
+                        "--oracle", "100000"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "--oracle" in proc.stderr
+        assert str(cli.ORACLE_MAX_UNROLLED) in proc.stderr
+
+    def test_unwritable_json(self, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "limit.json"
+        assert cli.main(["limit", str(ROOT / "demos/families/pencil_1_t.json"),
+                         "--json", str(out_file)]) == 2
+        err = capsys.readouterr().err
+        assert "--json" in err and err.count("\n") == 1
+
+    def test_internal_error_is_exit_1(self, monkeypatch, capsys):
+        def singular(pc):
+            raise ValueError("matrix is singular")
+        monkeypatch.setattr(cli.dg, "dvr_decompose", singular)
+        path = str(ROOT / "demos/families/pencil_1_t.json")
+        assert cli.main(["limit", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "internal error: matrix is singular\n"
+
     def test_invariant_violation_is_exit_1(self, monkeypatch, capsys):
         # A family that got past validation with D^2 != 0: the block
         # decomposition's detachment check fails, which is not bad input.
@@ -219,6 +258,18 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--cases" in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--suite", "random", "--max-dim", "0", "--cases", "2"], "--max-dim"),
+        (["--suite", "degeneration", "--max-dim", "0"], "--max-dim"),
+        (["--suite", "random", "--max-m", "0"], "--max-m"),
+        (["--suite", "census", "--p", "4"], "--p"),
+        (["--suite", "census", "--p", "101"], "--p"),
+    ])
+    def test_flag_ranges(self, flags, named):
+        proc = run_cli(["verify", *flags])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and named in proc.stderr
 
     def test_degeneration_max_m(self, capsys):
         assert cli.main(["verify", "--suite", "degeneration", "--seed", "1",

@@ -1,13 +1,13 @@
 import pytest
 
 from varcom.complexes import (Complex, GradedMap, NotAComplexError,
-                              assemble_D_delta, chart_jacobian_rank,
-                              cohomology, morphism_space, nullhomotopic_space,
-                              rank_vector, split_canonical, stabilizer_dim,
-                              validate)
+                              assemble_D_delta, canonical_representative,
+                              chart_jacobian_rank, cohomology, morphism_space,
+                              nullhomotopic_space, rank_vector,
+                              split_canonical, stabilizer_dim, validate)
 from varcom.linalg import Matrix
 from varcom.rings import QQ
-from varcom.strata import GradedDims, RankVector, canonical_representative
+from varcom.strata import GradedDims, RankVector
 
 
 class TestValidate:

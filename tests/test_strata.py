@@ -1,12 +1,28 @@
+import ast
+import pathlib
 import re
+from itertools import product
 
 import pytest
 
-from varcom.complexes import Complex, rank_vector
-from varcom.strata import (Chain, GradedDims, RankVector,
-                           canonical_representative, covering_relations,
+from varcom.complexes import (Complex, canonical_representative, rank_vector,
+                              stabilizer_dim)
+from varcom.strata import (Chain, GradedDims, RankVector, covering_relations,
                            enumerate_R, enumerate_chains, hasse_dot,
                            is_maximal, maximal_elements, stratum_dim)
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "varcom"
+
+
+def brute_maximal(rv):
+    """Poset-theoretic maximality by a scan over all of R."""
+    return not any(rv < s for s in enumerate_R(rv.dims))
+
+
+def dense_stratum_dim(rv):
+    """dim GL minus the stabilizer rank of the canonical representative."""
+    return (sum(n * n for n in rv.dims)
+            - stabilizer_dim(canonical_representative(rv)))
 
 
 class TestEnumerateR:
@@ -72,12 +88,18 @@ class TestMaximalSparse:
         dims = GradedDims((1, 1, 1))
         r10 = RankVector(dims, (1, 0))
         assert r10.cohomology_dims() == (0, 0, 1)
-        assert r10.sparse_criterion() and is_maximal(r10)
+        assert is_maximal(r10) and brute_maximal(r10)
         r00 = RankVector(dims, (0, 0))
-        assert not r00.sparse_criterion() and not is_maximal(r00)
+        assert not is_maximal(r00) and not brute_maximal(r00)
         r11 = RankVector(GradedDims((1, 2, 1)), (1, 1))
         assert r11.cohomology_dims() == (0, 0, 0)
-        assert r11.sparse_criterion() and is_maximal(r11)
+        assert is_maximal(r11) and brute_maximal(r11)
+
+    def test_maximal_elements(self):
+        for dims in ((1, 2, 1), (2, 2, 2), (3, 2, 3), (1, 0, 1)):
+            R = enumerate_R(GradedDims(dims))
+            assert (maximal_elements(GradedDims(dims))
+                    == [rv for rv in R if brute_maximal(rv)])
 
     def test_cohomology_dims_more(self):
         assert RankVector(GradedDims((2, 2)), (1,)).cohomology_dims() == (1, 1)
@@ -127,6 +149,18 @@ class TestStratumDim:
                     assert stratum_dim(rv) == 0
                 else:
                     assert stratum_dim(rv) >= 1
+
+    def test_matches_stabilizer_exhaustive(self):
+        # every rank vector with sum(n) <= 7 and m <= 4
+        count = 0
+        for length in range(1, 6):
+            for n in product(range(8), repeat=length):
+                if not 1 <= sum(n) <= 7:
+                    continue
+                for rv in enumerate_R(GradedDims(n)):
+                    assert stratum_dim(rv) == dense_stratum_dim(rv), rv
+                    count += 1
+        assert count == 3829
 
 
 class TestChains:
@@ -197,3 +231,26 @@ class TestCoveringsAndDot:
     def test_maximal_marked_as_boxes(self):
         d = hasse_dot(GradedDims((1, 2, 1)))
         assert d.count("shape=box") == len(maximal_elements(GradedDims((1, 2, 1))))
+
+
+class TestLayering:
+    @staticmethod
+    def tree(name):
+        return ast.parse((SRC / name).read_text(encoding="utf-8"))
+
+    def test_strata_imports_nothing_from_the_package(self):
+        for node in ast.walk(self.tree("strata.py")):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0 and node.module != "varcom", \
+                    f"line {node.lineno}"
+            elif isinstance(node, ast.Import):
+                assert all(a.name.split(".")[0] != "varcom"
+                           for a in node.names), f"line {node.lineno}"
+
+    @pytest.mark.parametrize("name", ["strata.py", "spectral.py"])
+    def test_no_function_local_imports(self, name):
+        for fn in ast.walk(self.tree(name)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    assert not isinstance(node, (ast.Import, ast.ImportFrom)), \
+                        f"{name}:{node.lineno} imports inside {fn.name}"
