@@ -9,6 +9,7 @@ stdout early (``| head``) is not a failure: exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,6 +23,9 @@ from .rings import SMALL_PRIMES
 
 # Largest unrolled dimension sum(n) * N that ``limit --oracle N`` accepts.
 ORACLE_MAX_UNROLLED = 128
+# Largest bound prod(min(n_{i-1}, n_i) + 1) on the number of strata |R|
+# that ``poset`` accepts.
+POSET_MAX_STRATA = 2 ** 16
 
 
 def _parse_dims_flag(text: str) -> st.GradedDims:
@@ -42,6 +46,14 @@ def _open_output(path: str, flag: str):
 
 def cmd_poset(args) -> int:
     dims = _parse_dims_flag(args.dims)
+    bound = 1
+    for a, b in zip(dims.n, dims.n[1:]):
+        bound *= min(a, b) + 1
+        if bound > POSET_MAX_STRATA:
+            print(f"error: --dims {args.dims}: the bound prod(min(n[i-1], "
+                  f"n[i]) + 1) on the number of strata exceeds the limit "
+                  f"{POSET_MAX_STRATA}", file=sys.stderr)
+            return 2
     rows = []
     for rv in st.enumerate_R(dims):
         rows.append({
@@ -204,7 +216,11 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: argparse objects reference
+    each other in cycles, so a parser per call would leave garbage that
+    only the cyclic collector frees."""
     parser = argparse.ArgumentParser(
         prog="varcom",
         description="Exact computations with varieties of complexes and "

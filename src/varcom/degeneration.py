@@ -15,6 +15,7 @@ truncation ring, and is used to cross-check the pivoting path.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -388,9 +389,10 @@ def filtered_oracle(pc: PolyComplex, N: int):
 
     bigD = [big_matrix(i) for i in range(m)]
 
-    def z_space(r: int, p: int, i: int) -> Matrix:
-        """Basis (columns) of Z_r^{p, i} = {x in F^p : D x in F^{p+r}}."""
-        p = max(p, 0)
+    # table_at(p) and table_at(p - 1) ask for the same few subspaces and
+    # images many times over; both caches die with this call.
+    @functools.cache
+    def z_cached(r: int, p: int, i: int) -> Matrix:
         n = dims[i]
         free_coords = [j * n + e for j in range(p, N) for e in range(n)]
         if not free_coords:
@@ -409,6 +411,18 @@ def filtered_oracle(pc: PolyComplex, N: int):
             full_cols.append(vec)
         return Matrix.from_columns(QQ, N * n, full_cols)
 
+    @functools.cache
+    def d_cached(r: int, p: int, i: int) -> Matrix:
+        return bigD[i] @ z_cached(r, p, i)
+
+    def z_space(r: int, p: int, i: int) -> Matrix:
+        """Basis (columns) of Z_r^{p, i} = {x in F^p : D x in F^{p+r}}."""
+        return z_cached(r, max(p, 0), i)
+
+    def d_image(r: int, p: int, i: int) -> Matrix:
+        """Columns D z for the basis z of Z_r^{p, i}."""
+        return d_cached(r, max(p, 0), i)
+
     def span_dim(*mats: Matrix) -> int:
         mats = [mm for mm in mats if mm.cols > 0]
         if not mats:
@@ -424,22 +438,15 @@ def filtered_oracle(pc: PolyComplex, N: int):
             ds = []
             rks = []
             for i in range(m + 1):
-                Z = z_space(r, p, i)
-                B1 = z_space(r - 1, p + 1, i)
+                B = [z_space(r - 1, p + 1, i)]
                 if i >= 1:
-                    Zlow = z_space(r - 1, p - r + 1, i - 1)
-                    DZ = bigD[i - 1] @ Zlow if Zlow.cols else \
-                        Matrix.zeros(QQ, N * dims[i], 0)
-                else:
-                    DZ = Matrix.zeros(QQ, N * dims[i], 0)
-                ds.append(span_dim(Z) - span_dim(B1, DZ))
+                    B.append(d_image(r - 1, p - r + 1, i - 1))
+                ds.append(span_dim(z_space(r, p, i)) - span_dim(*B))
             for i in range(m):
-                Z = z_space(r, p, i)
-                DZ_img = bigD[i] @ Z if Z.cols else Matrix.zeros(QQ, N * dims[i + 1], 0)
                 T1 = z_space(r - 1, p + r + 1, i + 1)
-                Zlow = z_space(r - 1, p + 1, i)
-                T2 = bigD[i] @ Zlow if Zlow.cols else Matrix.zeros(QQ, N * dims[i + 1], 0)
-                rks.append(span_dim(DZ_img, T1, T2) - span_dim(T1, T2))
+                T2 = d_image(r - 1, p + 1, i)
+                rks.append(span_dim(d_image(r, p, i), T1, T2)
+                           - span_dim(T1, T2))
             rows.append((tuple(ds), tuple(rks)))
         return rows
 

@@ -9,6 +9,8 @@ complements and extensions keep the pivot columns, i.e. each candidate
 that is independent of the columns before it.  Reproducibility of these
 choices is what later makes spectral-sequence pages canonical objects with
 decidable equality.  Rank over Q uses fraction-free elimination instead.
+Products, ``apply`` and zero tests skip zero entries by truthiness, which
+is what makes the sparse matrices of the filtered oracle cheap.
 
 The local ring also has elimination by minimal t-adic valuation, for ranks
 over Q(t) and the block splitting of families; its pivot is the entry that
@@ -17,6 +19,7 @@ over Q(t) and the block splitting of families; its pivot is the entry that
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .rings import LOCAL, QQ, Domain, RatFun
@@ -37,6 +40,15 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = tuple(tuple(r) for r in grid)
+
+    @classmethod
+    def _of(cls, domain: Domain, rows: int, cols: int, grid) -> "Matrix":
+        """A matrix on a rows x cols grid whose entries are already elements
+        of domain, as the results of Matrix operations are: no coercion."""
+        M = object.__new__(cls)
+        M.domain, M.rows, M.cols = domain, rows, cols
+        M.entries = tuple(map(tuple, grid))
+        return M
 
     @classmethod
     def zeros(cls, domain: Domain, rows: int, cols: int) -> "Matrix":
@@ -66,8 +78,7 @@ class Matrix:
         return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
-        z = self.domain.zero
-        return all(x == z for row in self.entries for x in row)
+        return not any(any(row) for row in self.entries)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.domain == other.domain
@@ -79,67 +90,72 @@ class Matrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix(self.domain, self.rows, self.cols,
-                      [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        return Matrix._of(self.domain, self.rows, self.cols,
+                          [[a + b for a, b in zip(ra, rb)]
+                           for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Matrix(self.domain, self.rows, self.cols,
-                      [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        return Matrix._of(self.domain, self.rows, self.cols,
+                          [[a - b for a, b in zip(ra, rb)]
+                           for ra, rb in zip(self.entries, other.entries)])
 
     def __neg__(self):
-        return Matrix(self.domain, self.rows, self.cols,
-                      [[-a for a in row] for row in self.entries])
+        return Matrix._of(self.domain, self.rows, self.cols,
+                          [[-a for a in row] for row in self.entries])
 
     def scale(self, c) -> "Matrix":
         c = self.domain.coerce(c)
-        return Matrix(self.domain, self.rows, self.cols,
-                      [[c * a for a in row] for row in self.entries])
+        return Matrix._of(self.domain, self.rows, self.cols,
+                          [[c * a for a in row] for row in self.entries])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Row-sparse product: each row of the result accumulates a * b
+        over the nonzero a in the left row and the nonzero b in the
+        matching right row, so zeros cost one truthiness test each."""
         if self.domain != other.domain:
             raise TypeError(f"domain mismatch {self.domain} @ {other.domain}")
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         z = self.domain.zero
+        sparse_rows = [[(j, b) for j, b in enumerate(row) if b]
+                       for row in other.entries]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a != z:
-                        acc = acc + a * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.domain, self.rows, other.cols, out)
+        for row in self.entries:
+            acc = [z] * other.cols
+            for a, terms in zip(row, sparse_rows):
+                if a:
+                    for j, b in terms:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
+        return Matrix._of(self.domain, self.rows, other.cols, out)
 
     def apply(self, vec):
+        if len(vec) != self.cols:
+            raise ValueError(
+                f"shape mismatch {self.rows}x{self.cols} applied to a "
+                f"vector of length {len(vec)}")
         z = self.domain.zero
         out = []
-        for i in range(self.rows):
+        for row in self.entries:
             acc = z
-            for k in range(self.cols):
-                a = self.entries[i][k]
-                if a != z:
-                    acc = acc + a * vec[k]
+            for a, x in zip(row, vec):
+                if a:
+                    acc = acc + a * x
             out.append(acc)
         return out
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.domain != other.domain:
             raise ValueError("hstack shape/domain mismatch")
-        return Matrix(self.domain, self.rows, self.cols + other.cols,
-                      [list(a) + list(b)
-                       for a, b in zip(self.entries, other.entries)])
+        return Matrix._of(self.domain, self.rows, self.cols + other.cols,
+                          [a + b for a, b in zip(self.entries, other.entries)])
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix(self.domain, len(row_idx), len(col_idx),
-                      [[self.entries[i][j] for j in col_idx] for i in row_idx])
+        return Matrix._of(self.domain, len(row_idx), len(col_idx),
+                          [[self.entries[i][j] for j in col_idx]
+                           for i in row_idx])
 
     def map_entries(self, fn, domain: Domain | None = None) -> "Matrix":
         dom = domain or self.domain
@@ -187,7 +203,8 @@ def _rref(grid, rows, cols, is_unit=bool):
         for i in range(rows):
             if i != r and grid[i][j]:
                 c = grid[i][j]
-                grid[i] = [a - c * b for a, b in zip(grid[i], grid[r])]
+                grid[i] = [a - c * b if b else a
+                           for a, b in zip(grid[i], grid[r])]
         pivots.append(j)
         r += 1
     return pivots
@@ -198,12 +215,11 @@ def rref(M: Matrix):
     _require_field(M, "rref")
     grid = [list(row) for row in M.entries]
     pivots = _rref(grid, M.rows, M.cols)
-    return Matrix(M.domain, M.rows, M.cols, grid), pivots
+    return Matrix._of(M.domain, M.rows, M.cols, grid), pivots
 
 
-def _bareiss_rank(int_grid, rows, cols) -> int:
-    """Fraction-free (Bareiss) elimination on an integer grid."""
-    g = [row[:] for row in int_grid]
+def _bareiss_rank(g, rows, cols) -> int:
+    """Fraction-free (Bareiss) elimination, in place on an integer grid."""
     rank = 0
     prev = 1
     r = 0
@@ -233,8 +249,8 @@ def _bareiss_rank(int_grid, rows, cols) -> int:
 def rank(M: Matrix) -> int:
     """Rank of a matrix over a field.
 
-    Over Q the rows are cleared to integers and eliminated fraction-free;
-    over a prime field ordinary elimination is used.
+    Over Q the nonzero rows are cleared to integers and eliminated
+    fraction-free; over a prime field ordinary elimination is used.
     """
     _require_field(M, "rank")
     if M.rows == 0 or M.cols == 0:
@@ -242,18 +258,12 @@ def rank(M: Matrix) -> int:
     if M.domain == QQ:
         int_grid = []
         for row in M.entries:
-            lcm = 1
-            for x in row:
-                lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-            int_grid.append([int(x * lcm) for x in row])
-        return _bareiss_rank(int_grid, M.rows, M.cols)
+            if any(row):
+                lcm = math.lcm(*[x.denominator for x in row])
+                int_grid.append([x.numerator * (lcm // x.denominator)
+                                 for x in row])
+        return _bareiss_rank(int_grid, len(int_grid), M.cols)
     return len(rref(M)[1])
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -307,7 +317,7 @@ def inverse(M: Matrix) -> Matrix:
     if _rref(grid, n, 2 * n, is_unit) != list(range(n)):
         raise ValueError("matrix is singular" if M.domain.is_field
                          else "matrix is not invertible at t = 0")
-    return Matrix(M.domain, n, n, [row[n:] for row in grid])
+    return Matrix._of(M.domain, n, n, [row[n:] for row in grid])
 
 
 def extend_columns(domain: Domain, dim: int, base_cols, candidates):

@@ -107,6 +107,22 @@ class TestPoset:
         data = json.loads(capsys.readouterr().out)
         assert [row["r"] for row in data["poset"]] == [[0], [1], [2]]
 
+    def test_size_budget(self):
+        # Without the budget this enumerated 77,531 strata.
+        proc = run_cli(["poset", "--dims", "60,60,60,60"], timeout=10)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "--dims" in proc.stderr
+        assert str(cli.POSET_MAX_STRATA) in proc.stderr
+
+    def test_size_budget_edge(self, capsys):
+        # k + 1 ones bound |R| by 2^k; R itself is far smaller.
+        assert cli.POSET_MAX_STRATA == 2 ** 16
+        assert cli.main(["poset", "--dims", ",".join(["1"] * 17)]) == 0
+        assert "2584 strata" in capsys.readouterr().out
+        assert cli.main(["poset", "--dims", ",".join(["1"] * 18)]) == 2
+        assert str(cli.POSET_MAX_STRATA) in capsys.readouterr().err
+
 
 class TestAnalyze:
     @pytest.mark.parametrize("path", COMPLEXES, ids=lambda p: p.stem)

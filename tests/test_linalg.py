@@ -255,3 +255,155 @@ class TestMatrixBasics:
         m = qmat([[0, 1, 2], [0, 2, 4], [1, 0, 1]])
         _, pivots = rref(m)
         assert pivots == [0, 1]
+
+
+def naive_product(A, B):
+    """The textbook triple loop, with no zero skipping."""
+    z = A.domain.zero
+    grid = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            acc = z
+            for k in range(A.cols):
+                acc = acc + A[i, k] * B[k, j]
+            row.append(acc)
+        grid.append(row)
+    return Matrix(A.domain, A.rows, B.cols, grid)
+
+
+def random_entry(domain, rng):
+    if domain == QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    if domain == LOCAL:
+        num = QPoly([Fraction(rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))])
+        return RatFun(num, QPoly([Fraction(1), Fraction(rng.randint(-1, 1))]))
+    return domain.coerce(rng.randint(0, 4))
+
+
+def random_matrix(domain, rng, rows, cols, density):
+    return Matrix(domain, rows, cols,
+                  [[random_entry(domain, rng) if rng.random() < density
+                    else domain.zero for _ in range(cols)]
+                   for _ in range(rows)])
+
+
+DOMAINS = [QQ, GF(5), LOCAL]
+
+
+class TestMatmul:
+    """Matrix.@, apply and is_zero against naive_product."""
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=str)
+    def test_random_sparse_and_dense(self, domain):
+        rng = random.Random(41)
+        for density in (0.0, 0.15, 0.5, 1.0):
+            for _ in range(12):
+                r, k, c = (rng.randint(1, 5) for _ in range(3))
+                A = random_matrix(domain, rng, r, k, density)
+                B = random_matrix(domain, rng, k, c, density)
+                assert A @ B == naive_product(A, B)
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=str)
+    def test_zero_rows_and_columns(self, domain):
+        rng = random.Random(43)
+        for _ in range(15):
+            r, k, c = (rng.randint(1, 5) for _ in range(3))
+            A = random_matrix(domain, rng, r, k, 0.8)
+            B = random_matrix(domain, rng, k, c, 0.8)
+            i, kk, j = rng.randrange(r), rng.randrange(k), rng.randrange(c)
+            # zero row i and column kk of A, row kk and column j of B
+            A = Matrix(domain, r, k, [
+                [domain.zero if (a == i or b == kk) else A[a, b]
+                 for b in range(k)] for a in range(r)])
+            B = Matrix(domain, k, c, [
+                [domain.zero if (a == kk or b == j) else B[a, b]
+                 for b in range(c)] for a in range(k)])
+            P = A @ B
+            assert P == naive_product(A, B)
+            assert not any(P.entries[i]) and not any(P.column(j))
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=str)
+    def test_empty_shapes(self, domain):
+        rng = random.Random(47)
+        for r, k, c in [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (0, 2, 0)]:
+            A = random_matrix(domain, rng, r, k, 1.0)
+            B = random_matrix(domain, rng, k, c, 1.0)
+            P = A @ B
+            assert (P.rows, P.cols) == (r, c)
+            assert P == naive_product(A, B) == Matrix.zeros(domain, r, c)
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=str)
+    def test_apply(self, domain):
+        rng = random.Random(53)
+        for density in (0.0, 0.3, 1.0):
+            for _ in range(10):
+                r, c = rng.randint(0, 5), rng.randint(0, 5)
+                A = random_matrix(domain, rng, r, c, density)
+                v = [random_entry(domain, rng) for _ in range(c)]
+                want = naive_product(A, Matrix.from_columns(domain, c, [v]))
+                assert A.apply(v) == want.column(0)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Matrix.zeros(domain, 2, 3).apply([domain.one] * 2)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Matrix.zeros(domain, 2, 3).apply([domain.one] * 4)
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=str)
+    def test_is_zero(self, domain):
+        for r, c in [(0, 0), (0, 3), (3, 0), (2, 2)]:
+            assert Matrix.zeros(domain, r, c).is_zero()
+        for i, j in [(0, 0), (1, 2), (2, 1)]:
+            grid = [[domain.zero] * 3 for _ in range(3)]
+            grid[i][j] = domain.one
+            assert not Matrix(domain, 3, 3, grid).is_zero()
+
+    def test_errors(self):
+        with pytest.raises(TypeError, match="domain mismatch"):
+            Matrix.identity(QQ, 2) @ Matrix.identity(LOCAL, 2)
+        with pytest.raises(TypeError, match="domain mismatch"):
+            Matrix.identity(GF(5), 2) @ Matrix.identity(GF(3), 2)
+        for domain in DOMAINS:
+            with pytest.raises(ValueError, match="shape mismatch 2x3 @ 2x3"):
+                Matrix.zeros(domain, 2, 3) @ Matrix.zeros(domain, 2, 3)
+            with pytest.raises(ValueError, match="shape mismatch"):
+                Matrix.zeros(domain, 0, 1) @ Matrix.zeros(domain, 0, 1)
+
+
+class TestSympyCrossCheck:
+    """rank and kernel_basis over Q against sympy, an implementation that
+    shares no code with this package.  Both kernels come from the RREF with
+    free coordinates set to 1 in ascending order, so the bases agree
+    vector for vector."""
+
+    def test_rank_and_kernel(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(59)
+
+        def entry(kind):
+            if kind == "sparse" and rng.random() < 0.7:
+                return Fraction(0)
+            if kind == "large":
+                return Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                                rng.randint(1, 10 ** 12))
+            return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 7]))
+
+        for trial in range(150):
+            kind = ("sparse", "large", "low_rank")[trial % 3]
+            r, c = rng.randint(1, 6), rng.randint(1, 7)
+            if kind == "low_rank":
+                inner = rng.randint(0, min(r, c) - 1)
+                S = (sympy.Matrix(r, inner, lambda *_: sympy.Rational(
+                        rng.randint(-4, 4), rng.randint(1, 3)))
+                     * sympy.Matrix(inner, c, lambda *_: sympy.Rational(
+                        rng.randint(-4, 4), rng.randint(1, 3))))
+                grid = [[Fraction(int(S[i, j].p), int(S[i, j].q))
+                         for j in range(c)] for i in range(r)]
+            else:
+                grid = [[entry(kind) for _ in range(c)] for _ in range(r)]
+                S = sympy.Matrix(r, c, lambda i, j: sympy.Rational(
+                    grid[i][j].numerator, grid[i][j].denominator))
+            M = qmat(grid)
+            assert rank(M) == S.rank()
+            want = [[Fraction(int(x.p), int(x.q)) for x in v]
+                    for v in S.nullspace()]
+            assert kernel_basis(M).columns() == want
