@@ -16,7 +16,6 @@ truncation ring, and is used to cross-check the pivoting path.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import NamedTuple
 
 from .complexes import Complex, NotAComplexError, cohomology, rank_vector
@@ -156,7 +155,7 @@ class DVRDecomposition:
 
 
 def _tpow(a: int) -> RatFun:
-    return RatFun(QPoly((Fraction(0),) * a + (Fraction(1),)))
+    return RatFun(QPoly((0,) * a + (1,)))
 
 
 def dvr_decompose(pc: PolyComplex) -> DVRDecomposition:

@@ -36,6 +36,10 @@ def _parse_rational(x, path: str) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x or "E" in x:
+            # Fraction would expand 1e999999999 digit by digit
+            raise DocumentError(
+                f"{path}: bad rational {x!r}: exponent notation is not accepted")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
@@ -173,5 +177,7 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # malformed JSON, bytes that are not UTF-8, or an integer literal
+        # longer than Python converts from a string
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc

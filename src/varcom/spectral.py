@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .complexes import (CohomologyData, Complex, canonical_representative,
-                        cohomology, rank_vector)
+from .complexes import Complex, canonical_representative, rank_vector
 from .strata import Chain, GradedDims, RankVector
 
 
@@ -53,13 +52,6 @@ class SpectralSequence:
     @property
     def ambient_dims(self) -> GradedDims:
         return self.pages[0].dims
-
-    def basis_data(self, nu: int) -> CohomologyData:
-        """Canonical lift/projection identifying page nu with the
-        cohomology of page nu - 1."""
-        if nu < 1 or nu >= len(self.pages):
-            raise IndexError("basis data exists for pages 1..L")
-        return cohomology(self.pages[nu - 1])
 
     def __eq__(self, other):
         return isinstance(other, SpectralSequence) and self.pages == other.pages

@@ -105,11 +105,6 @@ class RankVector:
     def __lt__(self, other):
         return self.leq(other) and self.r != other.r
 
-    def meet(self, other: "RankVector") -> "RankVector":
-        """Coordinatewise minimum; always lands back in R."""
-        self._same_context(other)
-        return RankVector(self.dims, tuple(min(a, b) for a, b in zip(self.r, other.r)))
-
     def cohomology_dims(self) -> tuple[int, ...]:
         """h_i = n_i - r_i - r_{i+1}, the dimensions of the cohomology of
         any complex in this stratum."""

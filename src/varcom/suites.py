@@ -306,7 +306,7 @@ def random_rational_suite(seed: int, max_m: int = 4, max_n: int = 5,
 def _random_unit(rng: random.Random) -> RatFun:
     c0 = rng.choice([1, 1, 1, -1, 2])
     c1 = rng.randint(-1, 1)
-    return RatFun(QPoly((Fraction(c0), Fraction(c1))))
+    return RatFun(QPoly((c0, c1)))
 
 
 def _random_local_invertible(rng: random.Random, n: int, deg: int = 2) -> Matrix:
@@ -325,7 +325,7 @@ def _random_local_invertible(rng: random.Random, n: int, deg: int = 2) -> Matrix
         if a == b:
             e[a][a] = _random_unit(rng)
         else:
-            coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(deg + 1)]
+            coeffs = [rng.randint(-2, 2) for _ in range(deg + 1)]
             e[a][b] = RatFun(QPoly(coeffs))
         M = M @ Matrix(LOCAL, n, n, e)
     return M
@@ -348,7 +348,7 @@ def plant_block_family(rng: random.Random, dims: st.GradedDims,
             a = rng.choice([0, 0, 1, 1, 2] if max_exp <= 2
                            else list(range(max_exp + 1)))
             planted.append((i, a))
-            grid[k][full[i] + k] = RatFun(QPoly((Fraction(0),) * a + (Fraction(1),)))
+            grid[k][full[i] + k] = RatFun(QPoly((0,) * a + (1,)))
         diffs.append(Matrix(LOCAL, rows, cols, grid))
     base = dg.PolyComplex(dims, diffs)
     g = [_random_local_invertible(rng, n) for n in dims]
@@ -422,7 +422,7 @@ def degeneration_suite(seed: int, cases: int = 100, max_m: int = 3,
             if list(got) != list(want):
                 fail("filtered-complex oracle disagrees", N=N)
 
-        reparam = pc.substitute(QPoly((Fraction(0), Fraction(1), Fraction(1))))
+        reparam = pc.substitute(QPoly((0, 1, 1)))
         dec2 = dg.dvr_decompose(reparam)
         if dec2.block_multiset() != planted:
             fail("multiplicities not reparametrization invariant")

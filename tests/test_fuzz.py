@@ -1,0 +1,123 @@
+"""Fuzzing the input contract of family documents.
+
+``formats.parse_family`` either returns a family or raises one of the
+errors that ``varcom`` reports as bad input, and ``varcom limit`` on any
+document exits 0 with a result or exits 2 with exactly one line on stderr:
+never a traceback, never the exit 1 of a mathematical failure.
+"""
+
+import contextlib
+import io
+import json
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from varcom import cli, formats, suites
+from varcom.complexes import NotAComplexError
+from varcom.strata import GradedDims
+
+BAD_INPUT = (formats.DocumentError, NotAComplexError)
+
+junk = st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+json_value = st.recursive(
+    st.integers() | junk,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dims", "diffs", "num", "den", "x"]),
+                      inner, max_size=3),
+    max_leaves=12)
+rational = (st.integers(-3, 3) | st.integers()
+            | st.builds("{}/{}".format, st.integers(), st.integers(-9, 9))
+            | st.text("0123456789/-+.eE _x", max_size=8))
+coefficients = st.lists(rational | junk, max_size=4)
+entry = (st.just(0) | rational | junk
+         | st.fixed_dictionaries({"num": coefficients},
+                                 optional={"den": coefficients})
+         | st.fixed_dictionaries({"num": st.lists(st.integers(-5, 5), max_size=4),
+                                  "den": st.lists(st.integers(-5, 5), max_size=3)})
+         | json_value)
+
+
+@st.composite
+def family_documents(draw):
+    """Planted families (valid), shaped documents with random entries, and
+    arbitrary JSON values, each possibly damaged in one place."""
+    kind = draw(st.sampled_from(["planted", "shaped", "any"]))
+    if kind == "any":
+        return draw(json_value)
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    if kind == "planted":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        pc, _, _ = suites.plant_block_family(rng, GradedDims(dims), 3)
+        doc = formats.emit_family(pc)
+    else:
+        doc = {"dims": dims, "diffs": [
+            [[draw(entry) for _ in range(dims[i])] for _ in range(dims[i + 1])]
+            for i in range(len(dims) - 1)]}
+    cells = [(i, r, c) for i, mat in enumerate(doc["diffs"])
+             for r, row in enumerate(mat) for c in range(len(row))]
+    damage = draw(st.sampled_from(["none", "entry", "dims", "drop"]))
+    if damage == "entry" and cells:
+        i, r, c = draw(st.sampled_from(cells))
+        doc["diffs"][i][r][c] = draw(entry)
+    elif damage == "dims":
+        doc["dims"] = draw(json_value)
+    elif damage == "drop":
+        del doc[draw(st.sampled_from(["dims", "diffs"]))]
+    return doc
+
+
+# derandomize: the suite tests the same documents on every run
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(family_documents())
+def test_parse_family_accepts_or_reports_bad_input(doc):
+    try:
+        pc = formats.parse_family(doc)
+    except BAD_INPUT:
+        return
+    assert formats.parse_family(formats.emit_family(pc)) == pc
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(FUZZ, max_examples=80)
+@given(doc=family_documents())
+def test_limit_exit_contract(workdir, doc):
+    src, out_path = workdir / "family.json", workdir / "limit.json"
+    src.write_text(json.dumps(doc))
+    out_path.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["limit", str(src), "--json", str(out_path)])
+    if rc == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().strip()
+        assert not out_path.exists()
+        return
+    assert rc == 0, err.getvalue()
+    assert err.getvalue() == ""
+    payload = json.loads(out_path.read_text())
+    assert payload["dims"] == doc["dims"]
+    assert payload["reduced"] == (payload["label"] is not None)
+
+
+@pytest.mark.parametrize("text", [
+    b"\x80\x81",                                               # not UTF-8
+    b'{"dims": [1, 1], "diffs": [[[' + b"7" * 5000 + b"]]]}",   # too long to read
+    b'{"dims": [1, 1], "diffs": [[["1e999999999"]]]}',          # 10^999999999
+    b'{"dims": [1, 1], "diffs": [[["1e5000"]]]}',               # too long to write
+], ids=["not-utf8", "long-int", "huge-exponent", "exponent"])
+def test_limit_unreadable_documents_are_bad_input(tmp_path, capsys, text):
+    path = tmp_path / "family.json"
+    path.write_bytes(text)
+    assert cli.main(["limit", str(path), "--json", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("input error: ")

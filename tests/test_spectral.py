@@ -29,12 +29,6 @@ class TestStructure:
         with pytest.raises(ValueError):
             SpectralSequence([e0, e1])
 
-    def test_basis_data_links_pages(self):
-        ss = two_page_22()
-        data = ss.basis_data(1)
-        assert data.h == (1, 1)
-        assert (ss.pages[0].diffs[0] @ data.lifts[0]).is_zero()
-
 
 class TestValidateReduced:
     def test_single_sparse_page(self):

@@ -50,37 +50,15 @@ class TestEnumerateR:
 
 
 class TestOrderAndMeet:
-    def test_meet_incomparable(self):
-        dims = GradedDims((1, 2, 1))
-        a = RankVector(dims, (1, 0))
-        b = RankVector(dims, (0, 1))
-        assert a.meet(b).r == (0, 0)
-
     def test_leq(self):
         dims = GradedDims((1, 2, 1))
         assert RankVector(dims, (0, 1)).leq(RankVector(dims, (1, 1)))
-
-    def test_meet_idempotent(self):
-        dims = GradedDims((2, 2))
-        r = RankVector(dims, (1,))
-        assert r.meet(r) == r
 
     def test_context_mismatch(self):
         a = RankVector(GradedDims((1, 1)), (1,))
         b = RankVector(GradedDims((2, 2)), (1,))
         with pytest.raises(ValueError):
             a.leq(b)
-
-    def test_meet_is_greatest_lower_bound(self):
-        for dims in ((1, 2, 1), (2, 2, 2), (2, 1, 2), (1, 1, 1, 1)):
-            R = enumerate_R(GradedDims(dims))
-            for a in R:
-                for b in R:
-                    m = a.meet(b)
-                    assert m.leq(a) and m.leq(b)
-                    for c in R:
-                        if c.leq(a) and c.leq(b):
-                            assert c.leq(m)
 
 
 class TestMaximalSparse:
