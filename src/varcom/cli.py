@@ -23,6 +23,10 @@ from .rings import SMALL_PRIMES
 
 # Largest unrolled dimension sum(n) * N that ``limit --oracle N`` accepts.
 ORACLE_MAX_UNROLLED = 128
+# Largest sum(n_i^2) that ``analyze`` accepts: the column count of the
+# homotopy matrix, its largest elimination.  Dims (11, 11, 11), at 363,
+# take about 2 s.
+ANALYZE_MAX_SQUARES = 400
 # Largest bound prod(min(n_{i-1}, n_i) + 1) on the number of strata |R|
 # that ``poset`` accepts.
 POSET_MAX_STRATA = 2 ** 16
@@ -151,7 +155,7 @@ def cmd_limit(args) -> int:
 
 def cmd_analyze(args) -> int:
     doc = formats.load_json(args.complex)
-    c = formats.parse_complex(doc)
+    c = formats.parse_complex(doc, max_squares=ANALYZE_MAX_SQUARES)
     rv = cx.rank_vector(c)
     h = rv.cohomology_dims()
     tangent = len(cx.morphism_space(c))

@@ -18,7 +18,7 @@ orbit of D.
 from __future__ import annotations
 
 from .linalg import (Matrix, complement_basis, extend_columns, inverse,
-                     kernel_basis, rank, rref)
+                     kernel_basis, pivot_columns, rank)
 from .rings import QQ, Domain
 from .strata import GradedDims, RankVector
 
@@ -272,9 +272,9 @@ def _unpack_degree1(dims: GradedDims, domain: Domain, vec) -> GradedMap:
     for i in range(dims.m):
         rows, cols = dims[i + 1], dims[i]
         base = offsets[i]
-        comps.append(Matrix(domain, rows, cols,
-                            [[vec[base + a * cols + b] for b in range(cols)]
-                             for a in range(rows)]))
+        comps.append(Matrix._of(domain, rows, cols,
+                                [vec[base + a * cols:base + (a + 1) * cols]
+                                 for a in range(rows)]))
     comps.append(Matrix.zeros(domain, 0, dims[dims.m]))
     return GradedMap(dims, 1, comps)
 
@@ -295,18 +295,17 @@ def _morphism_equation_matrix(c: Complex) -> Matrix:
         for u in range(n_i2):
             for v in range(n_i):
                 row = [dom.zero] * f_total
+                # Each k fills its own entry, in the f_i and f_{i+1} blocks.
                 for k in range(dims[i + 1]):
                     coeff = Dnext.entries[u][k]
-                    if coeff != dom.zero:
-                        row[f_off[i] + k * cols_fi + v] = \
-                            row[f_off[i] + k * cols_fi + v] + coeff
+                    if coeff:
+                        row[f_off[i] + k * cols_fi + v] = coeff
                 for k in range(dims[i + 1]):
                     coeff = Dcur.entries[k][v]
-                    if coeff != dom.zero:
-                        idx = f_off[i + 1] + u * cols_fi1 + k
-                        row[idx] = row[idx] + coeff
+                    if coeff:
+                        row[f_off[i + 1] + u * cols_fi1 + k] = coeff
                 rows.append(row)
-    return Matrix(dom, len(rows), f_total, rows)
+    return Matrix._of(dom, len(rows), f_total, rows)
 
 
 def morphism_space(c: Complex) -> list[GradedMap]:
@@ -326,35 +325,33 @@ def _homotopy_matrix(c: Complex) -> Matrix:
     m = dims.m
     f_off, f_total = _f_offsets(dims)
     s_off, s_total = _s_offsets(dims)
-    z = dom.zero
-    cols = [[z] * f_total for _ in range(s_total)]
+    grid = [[dom.zero] * s_total for _ in range(f_total)]
     for i in range(m):
         D = c.diffs[i]
         n_i, n_i1 = dims[i], dims[i + 1]
         for u in range(n_i1):
             for v in range(n_i):
-                fidx = f_off[i] + u * n_i + v
+                # Each k fills its own entry, in the s_{i+1} and s_i blocks.
+                row = grid[f_off[i] + u * n_i + v]
                 # (s_{i+1} D_i)[u][v] = sum_k s_{i+1}[u][k] D[k][v]
                 for k in range(n_i1):
                     coeff = D.entries[k][v]
-                    if coeff != z:
-                        sidx = s_off[i + 1] + u * n_i1 + k
-                        cols[sidx][fidx] = cols[sidx][fidx] + coeff
+                    if coeff:
+                        row[s_off[i + 1] + u * n_i1 + k] = coeff
                 # -(D_i s_i)[u][v] = -sum_k D[u][k] s_i[k][v]
                 for k in range(n_i):
                     coeff = D.entries[u][k]
-                    if coeff != z:
-                        sidx = s_off[i] + k * n_i + v
-                        cols[sidx][fidx] = cols[sidx][fidx] - coeff
-    return Matrix.from_columns(dom, f_total, cols)
+                    if coeff:
+                        row[s_off[i] + k * n_i + v] = -coeff
+    return Matrix._of(dom, f_total, s_total, grid)
 
 
 def nullhomotopic_space(c: Complex) -> list[GradedMap]:
     """Deterministic basis of {sD - Ds}: the tangent space to the orbit of
     D.  Basis vectors are the pivot columns of the homotopy map."""
     theta = _homotopy_matrix(c)
-    _, pivots = rref(theta)
-    return [_unpack_degree1(c.dims, c.domain, theta.column(j)) for j in pivots]
+    return [_unpack_degree1(c.dims, c.domain, theta.column(j))
+            for j in pivot_columns(theta)]
 
 
 def stabilizer_dim(c: Complex) -> int:
@@ -435,11 +432,11 @@ def chart_jacobian_rank(c: Complex) -> int:
                 # (roff+a)-th basis column with the (coff+b)-th inverse row.
                 for u in range(dims[i + 1]):
                     cu = B[i + 1].entries[u][roff + a]
-                    if cu == dom.zero:
+                    if not cu:
                         continue
                     for v in range(dims[i]):
                         cv = Binv[i].entries[coff + b][v]
-                        if cv != dom.zero:
+                        if cv:
                             col[f_off[i] + u * dims[i] + v] = cu * cv
                 eta_cols.append(col)
     combined = theta.hstack(Matrix.from_columns(dom, f_total, eta_cols))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .complexes import Complex, NotAComplexError, cohomology, rank_vector
 from .linalg import (Matrix, inverse, kernel_basis, local_at_zero,
                      local_from_rational, local_rank, min_valuation_entry,
-                     rank, rref, solve_matrix)
+                     pivot_columns, rank, solve_matrix)
 from .rings import LOCAL, QQ, QPoly, RatFun
 from .spectral import SpectralSequence, StratumLabel, stratum_label
 from .strata import GradedDims, RankVector
@@ -313,7 +313,7 @@ def limit_complete_complex(pc: PolyComplex,
             new_lifts.append(lifts[i] @ coh.lifts[i])
             if i >= 1:
                 prev_diff = page.diffs[i - 1]
-                _, pivots = rref(prev_diff)
+                pivots = pivot_columns(prev_diff)
                 img_cols = prev_diff.submatrix(range(prev_diff.rows), pivots) \
                     if pivots else Matrix.zeros(QQ, prev_diff.rows, 0)
                 new_bnds.append(bnds[i].hstack(lifts[i] @ img_cols))

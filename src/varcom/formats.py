@@ -17,6 +17,7 @@ precision is ever lost.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .complexes import Complex, validate
@@ -41,9 +42,19 @@ def _parse_rational(x, path: str) -> Fraction:
             raise DocumentError(
                 f"{path}: bad rational {x!r}: exponent notation is not accepted")
         try:
-            return Fraction(x)
+            q = Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{path}: bad rational {x!r}: {exc}") from exc
+        # A decimal such as 0.000...1 reads fine, but its denominator 10^k
+        # may be longer than Python writes.  Neither part of q has more
+        # digits than x has characters.
+        limit = sys.get_int_max_str_digits()
+        if (limit and len(x) > limit
+                and max(abs(q.numerator), q.denominator) >= 10 ** limit):
+            raise DocumentError(
+                f"{path}: rational with more than {limit} digits in its "
+                f"numerator or denominator")
+        return q
     raise DocumentError(f"{path}: expected int or 'p/q' string, got {type(x).__name__}")
 
 
@@ -71,10 +82,16 @@ def _check_matrix_shape(mat, rows, cols, path):
             raise DocumentError(f"{path}[{i}]: expected {cols} entries")
 
 
-def parse_complex(doc) -> Complex:
+def parse_complex(doc, max_squares: int | None = None) -> Complex:
+    """The complex of a document; with max_squares, reject dims whose
+    sum of squares n_i^2 exceeds it before reading any matrix."""
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     dims = _parse_dims(doc.get("dims"))
+    squares = sum(n * n for n in dims.n)
+    if max_squares is not None and squares > max_squares:
+        raise DocumentError(
+            f"dims: sum(n_i^2) = {squares} is above the limit {max_squares}")
     diffs_doc = doc.get("diffs")
     if not isinstance(diffs_doc, list) or len(diffs_doc) != dims.m:
         raise DocumentError(f"diffs: expected {dims.m} matrices")

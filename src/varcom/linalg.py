@@ -1,16 +1,21 @@
 """Dense exact matrices and the elimination kernels everything else uses.
 
-There is one Gauss-Jordan kernel, ``_rref``.  Its pivot in each column,
-left to right, is the first unused row whose entry is a unit: over a field
-any nonzero entry, over the local ring at t = 0 an entry of valuation 0.
-All basis-producing operations follow from it deterministically: kernel
-vectors set the free coordinate to 1 in ascending index order, and
-complements and extensions keep the pivot columns, i.e. each candidate
-that is independent of the columns before it.  Reproducibility of these
-choices is what later makes spectral-sequence pages canonical objects with
-decidable equality.  Rank over Q uses fraction-free elimination instead.
-Products, ``apply`` and zero tests skip zero entries by truthiness, which
-is what makes the sparse matrices of the filtered oracle cheap.
+There are two Gauss-Jordan kernels, one per kind of scalar, and both pivot
+in each column, left to right, on the first unused row with a usable
+entry.  Over Q, ``_int_rref`` works on integer rows: each nonzero row is
+cleared of denominators, an update is p * row_i - c * row_piv followed by
+division by the row's content, and Fractions are built only from the
+final rows.  Over F_p and over the local ring at t = 0, ``_rref`` divides
+by unit pivots: over a field any nonzero entry, over the local ring an
+entry of valuation 0.  All basis-producing operations follow from the
+reduced row echelon form, which is unique, so both kernels give the same
+answers: kernel vectors set the free coordinate to 1 in ascending index
+order, and complements and extensions keep the pivot columns, i.e. each
+candidate that is independent of the columns before it.  Reproducibility
+of these choices is what later makes spectral-sequence pages canonical
+objects with decidable equality.  Products, ``apply`` and zero tests skip
+zero entries by truthiness, which is what makes the sparse matrices of
+the filtered oracle cheap.
 
 The local ring also has elimination by minimal t-adic valuation, for ranks
 over Q(t) and the block splitting of families; its pivot is the entry that
@@ -179,7 +184,8 @@ def _require_field(M: Matrix, op: str):
 
 
 def _rref(grid, rows, cols, is_unit=bool):
-    """In-place Gauss-Jordan elimination; returns the pivot column list.
+    """In-place Gauss-Jordan elimination on unit pivots, the kernel for
+    F_p and the local ring; returns the pivot column list.
 
     Pivot choice: for each column left to right, the first row (top to
     bottom among unused rows) whose entry is a unit.  Over a field this is
@@ -210,60 +216,111 @@ def _rref(grid, rows, cols, is_unit=bool):
     return pivots
 
 
+def _int_rows(grid):
+    """The nonzero rows of a grid of Fractions, each scaled to a primitive
+    integer row: times the lcm of its denominators, over the gcd of the
+    resulting numerators."""
+    out = []
+    for row in grid:
+        if not any(row):
+            continue
+        ratios = list(map(Fraction.as_integer_ratio, row))
+        nums = [x for x, _ in ratios]
+        den = math.lcm(*[d for _, d in ratios])
+        if den > 1:
+            nums = [x * (den // d) for x, d in ratios]
+        g = math.gcd(*nums)
+        out.append([x // g for x in nums] if g > 1 else nums)
+    return out
+
+
+def _int_rref(g, cols, jordan=True):
+    """Fraction-free Gauss-Jordan elimination over Q, in place on a list of
+    nonzero primitive integer rows (``_int_rows``); returns the pivot
+    column list.
+
+    The pivot rule is that of ``_rref``.  With p the pivot, a row with a
+    nonzero entry c in the pivot column becomes p * row - c * pivot_row
+    divided by its content, and other rows are not touched.  Every row
+    stays primitive, a multiple of the matching row of fraction-free
+    Gauss-Jordan, so its entries stay bounded by minors of the input.
+    Afterwards g[k] is a nonzero multiple of row k of the reduced row
+    echelon form, and the zero rows are gone.  With jordan=False the rows
+    above a pivot are not reduced; the pivot columns, all that rank and
+    greedy extension need, are the same.
+    """
+    pivots = []
+    r = 0
+    n = len(g)
+    for j in range(cols):
+        if r == n:
+            break
+        for sel in range(r, n):
+            if g[sel][j]:
+                break
+        else:
+            continue
+        g[r], g[sel] = g[sel], g[r]
+        prow = g[r]
+        p = prow[j]
+        for i in range(0 if jordan else r + 1, n):
+            row = g[i]
+            c = row[j]
+            if c and i != r:
+                row = [p * a - c * b if b else p * a
+                       for a, b in zip(row, prow)]
+                d = math.gcd(*row)
+                g[i] = [x // d for x in row] if d > 1 else row
+        pivots.append(j)
+        r += 1
+    del g[r:]
+    return pivots
+
+
+def _fraction_rows(g, pivots, start=0):
+    """Rows of the reduced row echelon form from the integer pivot rows of
+    ``_int_rref``: each row's entries from column start on, over its pivot."""
+    z = QQ.zero
+    return [[Fraction(x, row[j]) if x else z for x in row[start:]]
+            for row, j in zip(g, pivots)]
+
+
 def rref(M: Matrix):
     """Reduced row echelon form and pivot columns (deterministic)."""
     _require_field(M, "rref")
-    grid = [list(row) for row in M.entries]
-    pivots = _rref(grid, M.rows, M.cols)
+    if M.domain == QQ:
+        g = _int_rows(M.entries)
+        pivots = _int_rref(g, M.cols)
+        grid = _fraction_rows(g, pivots)
+        grid += [[QQ.zero] * M.cols] * (M.rows - len(pivots))
+    else:
+        grid = [list(row) for row in M.entries]
+        pivots = _rref(grid, M.rows, M.cols)
     return Matrix._of(M.domain, M.rows, M.cols, grid), pivots
 
 
-def _bareiss_rank(g, rows, cols) -> int:
-    """Fraction-free (Bareiss) elimination, in place on an integer grid."""
-    rank = 0
-    prev = 1
-    r = 0
-    for j in range(cols):
-        if r == rows:
-            break
-        sel = None
-        for i in range(r, rows):
-            if g[i][j] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        g[r], g[sel] = g[sel], g[r]
-        piv = g[r][j]
-        for i in range(r + 1, rows):
-            gi, gr = g[i], g[r]
-            ci = gi[j]
-            for k in range(j, cols):
-                gi[k] = (piv * gi[k] - ci * gr[k]) // prev
-        prev = piv
-        rank += 1
-        r += 1
-    return rank
+def _pivots(M: Matrix) -> list[int]:
+    """pivot_columns without the field check, for rank."""
+    if M.domain == QQ:
+        g = _int_rows(M.entries)
+        return _int_rref(g, M.cols, jordan=False) if g else []
+    return _rref([list(row) for row in M.entries], M.rows, M.cols)
+
+
+def pivot_columns(M: Matrix) -> list[int]:
+    """Pivot columns of the reduced row echelon form of M, without the
+    form itself: over Q no Fraction is built and no row above a pivot is
+    reduced."""
+    _require_field(M, "pivot_columns")
+    return _pivots(M)
 
 
 def rank(M: Matrix) -> int:
-    """Rank of a matrix over a field.
-
-    Over Q the nonzero rows are cleared to integers and eliminated
-    fraction-free; over a prime field ordinary elimination is used.
-    """
+    """Rank of a matrix over a field: the number of its pivot columns,
+    over Q from the integer kernel with no Fraction built, over F_p from
+    the unit-pivot kernel."""
     _require_field(M, "rank")
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    if M.domain == QQ:
-        int_grid = []
-        for row in M.entries:
-            if any(row):
-                lcm = math.lcm(*[x.denominator for x in row])
-                int_grid.append([x.numerator * (lcm // x.denominator)
-                                 for x in row])
-        return _bareiss_rank(int_grid, len(int_grid), M.cols)
-    return len(rref(M)[1])
+    return len(_pivots(M))
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -277,14 +334,14 @@ def kernel_basis(M: Matrix) -> Matrix:
     pivot_set = set(pivots)
     free = [j for j in range(M.cols) if j not in pivot_set]
     z, o = M.domain.zero, M.domain.one
-    cols = []
-    for f in free:
-        v = [z] * M.cols
-        v[f] = o
+    grid = [[z] * len(free) for _ in range(M.cols)]
+    for c, f in enumerate(free):
+        grid[f][c] = o
         for k, p in enumerate(pivots):
-            v[p] = -R.entries[k][f]
-        cols.append(v)
-    return Matrix.from_columns(M.domain, M.cols, cols)
+            x = R.entries[k][f]
+            if x:
+                grid[p][c] = -x
+    return Matrix._of(M.domain, M.cols, len(free), grid)
 
 
 def solve_matrix(M: Matrix, B: Matrix):
@@ -298,9 +355,8 @@ def solve_matrix(M: Matrix, B: Matrix):
     z = M.domain.zero
     out = [[z] * B.cols for _ in range(M.cols)]
     for k, p in enumerate(pivots):
-        for j in range(B.cols):
-            out[p][j] = R.entries[k][M.cols + j]
-    return Matrix(M.domain, M.cols, B.cols, out)
+        out[p] = list(R.entries[k][M.cols:])
+    return Matrix._of(M.domain, M.cols, B.cols, out)
 
 
 def inverse(M: Matrix) -> Matrix:
@@ -313,11 +369,18 @@ def inverse(M: Matrix) -> Matrix:
     z, o = M.domain.zero, M.domain.one
     grid = [list(row) + [o if i == j else z for j in range(n)]
             for i, row in enumerate(M.entries)]
-    is_unit = bool if M.domain.is_field else RatFun.is_unit
-    if _rref(grid, n, 2 * n, is_unit) != list(range(n)):
+    if M.domain == QQ:
+        g = _int_rows(grid)
+        pivots = _int_rref(g, 2 * n)
+        inv = _fraction_rows(g, pivots, n)
+    else:
+        is_unit = bool if M.domain.is_field else RatFun.is_unit
+        pivots = _rref(grid, n, 2 * n, is_unit)
+        inv = [row[n:] for row in grid]
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular" if M.domain.is_field
                          else "matrix is not invertible at t = 0")
-    return Matrix._of(M.domain, n, n, [row[n:] for row in grid])
+    return Matrix._of(M.domain, n, n, inv)
 
 
 def extend_columns(domain: Domain, dim: int, base_cols, candidates):
@@ -329,7 +392,7 @@ def extend_columns(domain: Domain, dim: int, base_cols, candidates):
     base = [[domain.coerce(x) for x in col] for col in base_cols]
     cols = base + [[domain.coerce(x) for x in col] for col in candidates]
     grid = [[col[i] for col in cols] for i in range(dim)]
-    pivots = _rref(grid, dim, len(cols))
+    pivots = pivot_columns(Matrix._of(domain, dim, len(cols), grid))
     if pivots[:len(base)] != list(range(len(base))):
         raise ValueError("dependent base columns")
     return [cols[j] for j in pivots[len(base):]]

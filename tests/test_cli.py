@@ -147,6 +147,26 @@ class TestAnalyze:
     def test_missing_file(self):
         assert cli.main(["analyze", "no-such-file.json"]) == 2
 
+    def test_size_budget(self, tmp_path, capsys):
+        # Rejected from the dims alone: the diffs are never read.
+        assert cli.ANALYZE_MAX_SQUARES == 400
+        doc = tmp_path / "big.json"
+        doc.write_text(json.dumps({"dims": [12, 12, 12], "diffs": "unread"}))
+        assert cli.main(["analyze", str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "432" in captured.err
+        assert str(cli.ANALYZE_MAX_SQUARES) in captured.err
+
+    def test_size_budget_edge(self, tmp_path, capsys):
+        doc = tmp_path / "edge.json"
+        doc.write_text(json.dumps({"dims": [20], "diffs": []}))
+        assert cli.main(["analyze", str(doc), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["stabilizer_dim"] == 400
+        doc.write_text(json.dumps({"dims": [20, 1], "diffs": [[[0] * 20]]}))
+        assert cli.main(["analyze", str(doc)]) == 2
+        assert "401" in capsys.readouterr().err
+
 
 class TestLimit:
     @pytest.mark.parametrize("path", FAMILIES, ids=lambda p: p.stem)

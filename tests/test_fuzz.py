@@ -1,9 +1,10 @@
-"""Fuzzing the input contract of family documents.
+"""Fuzzing the input contract of family and complex documents.
 
 ``formats.parse_family`` either returns a family or raises one of the
-errors that ``varcom`` reports as bad input, and ``varcom limit`` on any
-document exits 0 with a result or exits 2 with exactly one line on stderr:
-never a traceback, never the exit 1 of a mathematical failure.
+errors that ``varcom`` reports as bad input, and ``varcom limit`` and
+``varcom analyze`` on any document exit 0 with a result or exit 2 with
+exactly one line on stderr: never a traceback, never the exit 1 of a
+mathematical failure.
 """
 
 import contextlib
@@ -40,6 +41,22 @@ entry = (st.just(0) | rational | junk
          | json_value)
 
 
+def damaged(draw, doc):
+    """doc, or doc with one entry replaced, its dims replaced, or one of
+    its keys dropped."""
+    cells = [(i, r, c) for i, mat in enumerate(doc["diffs"])
+             for r, row in enumerate(mat) for c in range(len(row))]
+    damage = draw(st.sampled_from(["none", "entry", "dims", "drop"]))
+    if damage == "entry" and cells:
+        i, r, c = draw(st.sampled_from(cells))
+        doc["diffs"][i][r][c] = draw(entry)
+    elif damage == "dims":
+        doc["dims"] = draw(json_value)
+    elif damage == "drop":
+        del doc[draw(st.sampled_from(["dims", "diffs"]))]
+    return doc
+
+
 @st.composite
 def family_documents(draw):
     """Planted families (valid), shaped documents with random entries, and
@@ -56,17 +73,28 @@ def family_documents(draw):
         doc = {"dims": dims, "diffs": [
             [[draw(entry) for _ in range(dims[i])] for _ in range(dims[i + 1])]
             for i in range(len(dims) - 1)]}
-    cells = [(i, r, c) for i, mat in enumerate(doc["diffs"])
-             for r, row in enumerate(mat) for c in range(len(row))]
-    damage = draw(st.sampled_from(["none", "entry", "dims", "drop"]))
-    if damage == "entry" and cells:
-        i, r, c = draw(st.sampled_from(cells))
-        doc["diffs"][i][r][c] = draw(entry)
-    elif damage == "dims":
-        doc["dims"] = draw(json_value)
-    elif damage == "drop":
-        del doc[draw(st.sampled_from(["dims", "diffs"]))]
-    return doc
+    return damaged(draw, doc)
+
+
+@st.composite
+def complex_documents(draw):
+    """Random points of random strata and zero complexes (both valid),
+    shaped documents with random entries, and arbitrary JSON values, each
+    possibly damaged in one place."""
+    kind = draw(st.sampled_from(["planted", "zero", "shaped", "any"]))
+    if kind == "any":
+        return draw(json_value)
+    dims = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    if kind == "planted":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        c, _ = suites.random_complex(rng, GradedDims(dims))
+        doc = formats.emit_complex(c)
+    else:
+        fill = (lambda: 0) if kind == "zero" else (lambda: draw(entry))
+        doc = {"dims": dims, "diffs": [
+            [[fill() for _ in range(dims[i])] for _ in range(dims[i + 1])]
+            for i in range(len(dims) - 1)]}
+    return damaged(draw, doc)
 
 
 # derandomize: the suite tests the same documents on every run
@@ -109,15 +137,64 @@ def test_limit_exit_contract(workdir, doc):
     assert payload["reduced"] == (payload["label"] is not None)
 
 
-@pytest.mark.parametrize("text", [
+@settings(FUZZ, max_examples=80)
+@given(doc=complex_documents())
+def test_analyze_exit_contract(workdir, doc):
+    src = workdir / "complex.json"
+    src.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["analyze", str(src), "--json"])
+    if rc == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().strip()
+        assert out.getvalue() == ""
+        return
+    assert rc == 0, err.getvalue()
+    assert err.getvalue() == ""
+    payload = json.loads(out.getvalue())
+    assert payload["dims"] == doc["dims"]
+    assert payload["homotopy_identity"] and payload["chart_identity"]
+
+
+# A decimal with 4,300 digits after the point reads as a Fraction whose
+# denominator 10^4300 has more digits than Python writes.
+UNREADABLE = pytest.mark.parametrize("text", [
     b"\x80\x81",                                               # not UTF-8
     b'{"dims": [1, 1], "diffs": [[[' + b"7" * 5000 + b"]]]}",   # too long to read
     b'{"dims": [1, 1], "diffs": [[["1e999999999"]]]}',          # 10^999999999
     b'{"dims": [1, 1], "diffs": [[["1e5000"]]]}',               # too long to write
-], ids=["not-utf8", "long-int", "huge-exponent", "exponent"])
+    b'{"dims": [1, 1], "diffs": [[["0.' + b"0" * 4299 + b'1"]]]}',
+], ids=["not-utf8", "long-int", "huge-exponent", "exponent", "long-decimal"])
+
+
+@UNREADABLE
 def test_limit_unreadable_documents_are_bad_input(tmp_path, capsys, text):
     path = tmp_path / "family.json"
     path.write_bytes(text)
     assert cli.main(["limit", str(path), "--json", str(tmp_path / "o.json")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("input error: ")
+
+
+@UNREADABLE
+def test_analyze_unreadable_documents_are_bad_input(tmp_path, capsys, text):
+    path = tmp_path / "complex.json"
+    path.write_bytes(text)
+    assert cli.main(["analyze", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("input error: ")
+
+
+def test_longest_writable_decimal_is_accepted(tmp_path, capsys):
+    # 0.000...1 with 4,299 digits after the point: denominator 10^4299
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"dims": [1, 1],
+                                "diffs": [[["0." + "0" * 4298 + "1"]]]}))
+    assert cli.main(["analyze", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == [1]
+    assert cli.main(["limit", str(path), "--json", str(tmp_path / "o.json")]) == 0
+    payload = json.loads((tmp_path / "o.json").read_text())
+    page0 = payload["spectral_sequence"]["pages"][0]
+    assert page0["diffs"] == [[["1/1" + "0" * 4299]]]

@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from varcom.linalg import (Matrix, complement_basis, extend_columns, inverse,
+from varcom import linalg
+from varcom.linalg import (Matrix, _int_rows, _int_rref, _rref,
+                           complement_basis, extend_columns, inverse,
                            kernel_basis, local_at_zero, local_eval,
-                           local_pivot_elimination, local_rank, rank, rref,
-                           solve_matrix)
+                           local_pivot_elimination, local_rank, pivot_columns,
+                           rank, rref, solve_matrix)
 from varcom.rings import GF, LOCAL, QQ, QPoly, RatFun
 from varcom.suites import _random_local_invertible
 
@@ -370,14 +373,15 @@ class TestMatmul:
 
 
 class TestSympyCrossCheck:
-    """rank and kernel_basis over Q against sympy, an implementation that
-    shares no code with this package.  Both kernels come from the RREF with
-    free coordinates set to 1 in ascending order, so the bases agree
-    vector for vector."""
+    """rank, kernel_basis, rref and inverse over Q against sympy, an
+    implementation that shares no code with this package.  Both kernels
+    come from the RREF with free coordinates set to 1 in ascending order,
+    so the bases agree vector for vector."""
 
-    def test_rank_and_kernel(self):
-        sympy = pytest.importorskip("sympy")
-        rng = random.Random(59)
+    @staticmethod
+    def cases(sympy, seed, square=False):
+        """(Matrix, sympy.Matrix) pairs: sparse, large-entry and low-rank."""
+        rng = random.Random(seed)
 
         def entry(kind):
             if kind == "sparse" and rng.random() < 0.7:
@@ -390,6 +394,8 @@ class TestSympyCrossCheck:
         for trial in range(150):
             kind = ("sparse", "large", "low_rank")[trial % 3]
             r, c = rng.randint(1, 6), rng.randint(1, 7)
+            if square:
+                c = r
             if kind == "low_rank":
                 inner = rng.randint(0, min(r, c) - 1)
                 S = (sympy.Matrix(r, inner, lambda *_: sympy.Rational(
@@ -402,8 +408,173 @@ class TestSympyCrossCheck:
                 grid = [[entry(kind) for _ in range(c)] for _ in range(r)]
                 S = sympy.Matrix(r, c, lambda i, j: sympy.Rational(
                     grid[i][j].numerator, grid[i][j].denominator))
-            M = qmat(grid)
+            yield qmat(grid), S
+
+    @staticmethod
+    def to_fractions(S):
+        return [[Fraction(int(S[i, j].p), int(S[i, j].q))
+                 for j in range(S.cols)] for i in range(S.rows)]
+
+    def test_rank_and_kernel(self):
+        sympy = pytest.importorskip("sympy")
+        for M, S in self.cases(sympy, 59):
             assert rank(M) == S.rank()
             want = [[Fraction(int(x.p), int(x.q)) for x in v]
                     for v in S.nullspace()]
             assert kernel_basis(M).columns() == want
+
+    def test_rref_and_inverse(self):
+        sympy = pytest.importorskip("sympy")
+        for M, S in self.cases(sympy, 61):
+            R, pivots = rref(M)
+            SR, spivots = S.rref()
+            assert pivots == list(spivots)
+            assert [list(row) for row in R.entries] == self.to_fractions(SR)
+        invertible = 0
+        for M, S in self.cases(sympy, 67, square=True):
+            if S.rank() < S.rows:
+                with pytest.raises(ValueError, match="singular"):
+                    inverse(M)
+            else:
+                invertible += 1
+                assert ([list(row) for row in inverse(M).entries]
+                        == self.to_fractions(S.inv()))
+        assert invertible > 50
+
+
+class TestIntegerKernelOracle:
+    """The Fraction Gauss-Jordan ``_rref`` (no longer used over Q) as the
+    oracle for every Q elimination, which runs on integer rows."""
+
+    @staticmethod
+    def ref_rref(M):
+        grid = [list(row) for row in M.entries]
+        pivots = _rref(grid, M.rows, M.cols)
+        return grid, pivots
+
+    @classmethod
+    def ref_kernel(cls, M):
+        R, pivots = cls.ref_rref(M)
+        cols = []
+        for f in (j for j in range(M.cols) if j not in pivots):
+            v = [Fraction(0)] * M.cols
+            v[f] = Fraction(1)
+            for k, p in enumerate(pivots):
+                v[p] = -R[k][f]
+            cols.append(v)
+        return cols
+
+    @classmethod
+    def ref_inverse(cls, M):
+        n = M.rows
+        aug = M.hstack(Matrix.identity(QQ, n))
+        R, pivots = cls.ref_rref(aug)
+        return None if pivots != list(range(n)) else [row[n:] for row in R]
+
+    @classmethod
+    def ref_solve(cls, M, B):
+        R, pivots = cls.ref_rref(M.hstack(B))
+        if pivots and pivots[-1] >= M.cols:
+            return None
+        out = [[Fraction(0)] * B.cols for _ in range(M.cols)]
+        for k, p in enumerate(pivots):
+            out[p] = R[k][M.cols:]
+        return out
+
+    @staticmethod
+    def matrix(rng, rows, cols):
+        """Random Q matrix of one of several kinds: small fractions, all-zero
+        rows, entries above 2^64, and rank-deficient products."""
+        kind = rng.choice(["small", "zero_rows", "huge", "product"])
+        if kind == "product" and rows and cols:
+            inner = rng.randint(0, min(rows, cols) - 1)
+            return (random_matrix(QQ, rng, rows, inner, 0.8)
+                    @ random_matrix(QQ, rng, inner, cols, 0.8))
+
+        def entry():
+            if rng.random() < 0.3:
+                return Fraction(0)
+            if kind == "huge":
+                big = rng.randint(2 ** 64, 2 ** 100) * rng.choice([1, -1])
+                return rng.choice([Fraction(big), Fraction(big, rng.randint(1, 2 ** 70)),
+                                   Fraction(rng.randint(-9, 9), 2 ** 65 + 1)])
+            return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 10]))
+
+        grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if kind == "zero_rows":
+            for i in range(rows):
+                if rng.random() < 0.4:
+                    grid[i] = [Fraction(0)] * cols
+        return Matrix(QQ, rows, cols, grid)
+
+    def test_against_fraction_kernel(self):
+        rng = random.Random(71)
+        for trial in range(400):
+            r, c = rng.randint(0, 6), rng.randint(0, 6)
+            if trial % 3 == 0:
+                c = r
+            M = self.matrix(rng, r, c)
+            R_want, piv_want = self.ref_rref(M)
+            R, pivots = rref(M)
+            assert pivots == piv_want
+            assert [list(row) for row in R.entries] == R_want
+            assert rank(M) == len(piv_want)
+            assert kernel_basis(M).columns() == self.ref_kernel(M)
+            if r == c:
+                want = self.ref_inverse(M)
+                if want is None:
+                    with pytest.raises(ValueError, match="singular"):
+                        inverse(M)
+                else:
+                    assert [list(row) for row in inverse(M).entries] == want
+            B = self.matrix(rng, r, rng.randint(0, 3))
+            if rng.random() < 0.5:
+                B = M @ self.matrix(rng, c, B.cols)    # consistent
+            X = solve_matrix(M, B)
+            want = self.ref_solve(M, B)
+            assert (X if X is None else [list(row) for row in X.entries]) == want
+            # columns of M as a base, the columns of a second matrix as
+            # candidates; the base must be independent, so keep only its
+            # pivot columns
+            base = [M.column(j) for j in piv_want]
+            cands = self.matrix(rng, r, rng.randint(0, 6)).columns()
+            grid = [[col[i] for col in base + cands] for i in range(r)]
+            piv_all = _rref(grid, r, len(base) + len(cands))
+            assert (extend_columns(QQ, r, base, cands)
+                    == [(base + cands)[j] for j in piv_all[len(base):]])
+            sub = Matrix.from_columns(QQ, r, base)
+            assert complement_basis(sub, r).columns() == self.ref_complement(sub)
+
+    @classmethod
+    def ref_complement(cls, sub):
+        """The standard vectors among the pivot columns of [sub | I]."""
+        aug = sub.hstack(Matrix.identity(QQ, sub.rows))
+        _, pivots = cls.ref_rref(aug)
+        return [aug.column(j) for j in pivots if j >= sub.cols]
+
+    def test_fraction_kernel_unused_over_q(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("Fraction _rref reached over Q")
+
+        monkeypatch.setattr(linalg, "_rref", fail)
+        M = qmat([[1, Fraction(1, 2), 3], [2, 1, 6], [0, 0, Fraction(1, 7)]])
+        rref(M)
+        rank(M)
+        pivot_columns(M)
+        kernel_basis(M)
+        solve_matrix(M, Matrix.identity(QQ, 3))
+        inverse(qmat([[1, 2], [3, 4]]))
+        extend_columns(QQ, 3, [M.column(0)], M.columns())
+        complement_basis(kernel_basis(M), 3)
+        with pytest.raises(AssertionError, match="Fraction _rref"):
+            rank(Matrix.identity(GF(5), 2))
+
+    def test_rows_stay_primitive(self):
+        rng = random.Random(73)
+        for _ in range(100):
+            M = self.matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+            g = _int_rows(M.entries)
+            assert all(math.gcd(*row) == 1 for row in g)
+            pivots = _int_rref(g, M.cols)
+            assert all(math.gcd(*row) == 1 for row in g)
+            assert len(g) == len(pivots)
