@@ -13,9 +13,8 @@ whose differential must be injective at (1, 0).
 import random
 
 from varcom import (GradedDims, assemble_D_delta, canonical_representative,
-                    chart_jacobian_rank, cohomology, enumerate_R,
-                    morphism_space, nullhomotopic_space, rank_vector,
-                    stabilizer_dim, validate)
+                    enumerate_R, morphism_space, nullhomotopic_space,
+                    rank_vector, tangent_data, validate)
 from varcom.suites import random_complex
 
 c = validate((2, 3, 2), [[[1, 0], [0, 0], [0, 0]], [[0, 0, 1], [0, 0, 0]]])
@@ -28,8 +27,9 @@ normal = sum(h[i] * h[i + 1] for i in range(c.dims.m))
 print(f"dims {c.dims.n}, rank vector {rv.r}, cohomology dims {h}")
 print(f"tangent dim {tangent} = orbit dim {orbit} + normal dim {normal}")
 assert tangent - orbit == normal
+td = tangent_data(c)
 print(f"group dim {sum(n * n for n in c.dims)} = "
-      f"orbit {orbit} + stabilizer {stabilizer_dim(c)}")
+      f"orbit {td.orbit} + stabilizer {td.stabilizer}")
 
 # the chart: deform the cohomology block by a differential delta on h
 hd = GradedDims(h)
@@ -40,9 +40,8 @@ for delta_rv in enumerate_R(hd):
     print(f"  delta ranks {delta_rv.r} -> ambient ranks "
           f"{rank_vector(moved).r}")
 
-jac = chart_jacobian_rank(c)
-print(f"\nchart jacobian rank {jac} = orbit {orbit} + normal {normal}")
-assert jac == orbit + normal
+print(f"\nchart jacobian rank {td.chart} = orbit {orbit} + normal {normal}")
+assert td.chart == orbit + normal
 
 # the same identity on a few random stratum points
 rng = random.Random(0)
@@ -55,6 +54,6 @@ for _ in range(5):
     hh = rr.cohomology_dims()
     nn = sum(hh[i] * hh[i + 1] for i in range(dims.m))
     oo = len(nullhomotopic_space(cc))
-    assert chart_jacobian_rank(cc) == oo + nn
+    assert tangent_data(cc).chart == oo + nn
     print(f"random point: dims {dims.n} r={rr.r}: chart rank "
           f"{oo + nn} as predicted")

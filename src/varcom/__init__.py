@@ -11,17 +11,17 @@ are canonical and equality is decidable.
 """
 
 from .complexes import (CohomologyData, Complex, GradedMap, NotAComplexError,
-                        assemble_D_delta, canonical_representative,
-                        chart_jacobian_rank, cohomology, morphism_space,
+                        TangentData, assemble_D_delta,
+                        canonical_representative, cohomology, morphism_space,
                         nullhomotopic_space, rank_vector, split_canonical,
-                        stabilizer_dim, validate)
+                        tangent_data, validate)
 from .degeneration import (Block, DVRDecomposition, InvariantError,
                            LimitResult, PolyComplex, TruncationTooSmall,
                            dvr_decompose, exponent_rank_table, filtered_oracle,
-                           generic_rank_vector, limit_complete_complex,
+                           limit_complete_complex,
                            page_table_from_multiplicities, validate_family)
 from .linalg import (Matrix, complement_basis, inverse, kernel_basis,
-                     local_at_zero, local_rank, rank)
+                     local_at_zero, rank)
 from .rings import GF, INF, LOCAL, QQ, GFElement, QPoly, RatFun, valuation
 from .spectral import (CompleteComplex, SpectralSequence, StratumLabel,
                        canonical_ss_from_chain, normalize,
@@ -35,18 +35,18 @@ __version__ = "0.1.0"
 __all__ = [
     "GF", "INF", "LOCAL", "QQ", "GFElement", "QPoly", "RatFun", "valuation",
     "Matrix", "rank", "kernel_basis", "complement_basis", "inverse",
-    "local_rank", "local_at_zero",
+    "local_at_zero",
     "GradedDims", "RankVector", "Chain", "enumerate_R", "is_maximal",
     "maximal_elements", "covering_relations", "stratum_dim",
     "enumerate_chains", "hasse_dot",
     "Complex", "GradedMap", "CohomologyData", "NotAComplexError", "validate",
     "rank_vector", "cohomology", "split_canonical", "morphism_space",
-    "nullhomotopic_space", "stabilizer_dim", "assemble_D_delta",
-    "chart_jacobian_rank", "canonical_representative",
+    "nullhomotopic_space", "TangentData", "tangent_data", "assemble_D_delta",
+    "canonical_representative",
     "SpectralSequence", "CompleteComplex", "StratumLabel", "validate_reduced",
     "stratum_label", "canonical_ss_from_chain", "normalize",
     "PolyComplex", "Block", "DVRDecomposition", "LimitResult",
-    "InvariantError", "TruncationTooSmall", "validate_family", "generic_rank_vector",
+    "InvariantError", "TruncationTooSmall", "validate_family",
     "dvr_decompose", "limit_complete_complex", "exponent_rank_table",
     "page_table_from_multiplicities", "filtered_oracle",
 ]

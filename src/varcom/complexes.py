@@ -4,8 +4,8 @@ A complex is a graded dimension vector together with differential
 components D_i: V^i -> V^{i+1} composing to zero.  This module provides
 the linear algebra attached to one complex: rank vector, cohomology with
 canonical bases, the splitting into an acyclic part plus cohomology, hom
-and homotopy spaces of degree-1 morphisms, stabilizers, and the local
-chart data around a stratum point.
+and homotopy spaces of degree-1 morphisms, and the tangent, orbit,
+stabilizer and chart dimensions at a stratum point.
 
 Sign conventions.  The shift (V[1], D') has D'_i = -D_{i+1}, so a degree-1
 morphism of complexes f: (V, D) -> (V, D)[1] is a graded map whose
@@ -16,6 +16,8 @@ orbit of D.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .linalg import (Matrix, complement_basis, extend_columns, inverse,
                      kernel_basis, pivot_columns, rank)
@@ -354,14 +356,6 @@ def nullhomotopic_space(c: Complex) -> list[GradedMap]:
             for j in pivot_columns(theta)]
 
 
-def stabilizer_dim(c: Complex) -> int:
-    """Dimension of the Lie algebra of the stabilizer of D: degree-0 maps s
-    with s_{i+1} D_i = D_i s_i."""
-    theta = _homotopy_matrix(c)
-    _, s_total = _s_offsets(c.dims)
-    return s_total - rank(theta)
-
-
 def assemble_D_delta(c: Complex, delta):
     """Extend a degree-1 graded map delta on the cohomology of c to a
     differential-shaped map on the whole space: in the splitting basis the
@@ -410,24 +404,23 @@ def assemble_D_delta(c: Complex, delta):
     return GradedMap(dims, 1, comps)
 
 
-def chart_jacobian_rank(c: Complex) -> int:
-    """Rank at (1, 0) of the differential of (g, delta) |-> g . D_delta:
-    the combined linear map (s, delta) |-> (sD - Ds) + eta(delta), where
-    eta embeds degree-1 maps on the cohomology through the splitting
-    basis.  Equals orbit dimension + sum_i h_i h_{i+1}."""
+def _eta_matrix(c: Complex) -> Matrix:
+    """Matrix of eta, which embeds degree-1 maps delta on the cohomology
+    through the splitting basis: the differential of delta |-> D_delta,
+    one column per entry (a, b) of each delta_i, in degree order."""
     dims, dom = c.dims, c.domain
     m = dims.m
-    theta = _homotopy_matrix(c)
     full, B, Binv = _adapted_bases(c)
     h = [dims[i] - full[i] - full[i + 1] for i in range(m + 1)]
     f_off, f_total = _f_offsets(dims)
-    eta_cols = []
+    width = sum(h[i] * h[i + 1] for i in range(m))
+    grid = [[dom.zero] * width for _ in range(f_total)]
+    col = 0
     for i in range(m):
         roff = full[i + 1] + full[i + 2]
         coff = full[i] + full[i + 1]
         for a in range(h[i + 1]):
             for b in range(h[i]):
-                col = [dom.zero] * f_total
                 # eta(E_ab) = B_{i+1} E_ab Binv_i: an outer product of the
                 # (roff+a)-th basis column with the (coff+b)-th inverse row.
                 for u in range(dims[i + 1]):
@@ -437,7 +430,39 @@ def chart_jacobian_rank(c: Complex) -> int:
                     for v in range(dims[i]):
                         cv = Binv[i].entries[coff + b][v]
                         if cv:
-                            col[f_off[i] + u * dims[i] + v] = cu * cv
-                eta_cols.append(col)
-    combined = theta.hstack(Matrix.from_columns(dom, f_total, eta_cols))
-    return rank(combined)
+                            grid[f_off[i] + u * dims[i] + v][col] = cu * cv
+                col += 1
+    return Matrix._of(dom, f_total, width, grid)
+
+
+class TangentData(NamedTuple):
+    """Dimensions at a point D of the variety of complexes."""
+    tangent: int      # degree-1 maps f with D_{i+1} f_i + f_{i+1} D_i = 0
+    orbit: int        # the null-homotopic ones, f = sD - Ds
+    stabilizer: int   # degree-0 maps s with sD = Ds
+    normal: int       # sum_i h_i h_{i+1}: degree-1 maps on the cohomology
+    chart: int        # rank at (1, 0) of (g, delta) |-> g . D_delta
+
+
+def tangent_data(c: Complex) -> TangentData:
+    """Tangent, orbit, stabilizer, normal and chart dimensions at D.
+
+    theta is the homotopy map s |-> sD - Ds, and eta has one column per
+    normal direction, so [theta | eta] is the differential at (1, 0) of
+    the chart (g, delta) |-> g . D_delta.  One elimination of it gives the
+    rest: greedy left-to-right pivots of a column prefix are the pivots of
+    that prefix alone, so the pivots among theta's columns count the
+    orbit, its other columns the stabilizer, and all pivots the chart
+    rank.  The chart statement asks for tangent = orbit + normal = chart.
+    """
+    _, f_total = _f_offsets(c.dims)
+    _, s_total = _s_offsets(c.dims)
+    eta = _eta_matrix(c)
+    pivots = pivot_columns(_homotopy_matrix(c).hstack(eta))
+    orbit = sum(1 for j in pivots if j < s_total)
+    return TangentData(
+        tangent=f_total - rank(_morphism_equation_matrix(c)),
+        orbit=orbit,
+        stabilizer=s_total - orbit,
+        normal=eta.cols,
+        chart=len(pivots))

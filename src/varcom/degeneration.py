@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from .complexes import Complex, NotAComplexError, cohomology, rank_vector
 from .linalg import (Matrix, inverse, kernel_basis, local_at_zero,
-                     local_from_rational, local_rank, min_valuation_entry,
-                     pivot_columns, rank, solve_matrix)
+                     local_from_rational, min_valuation_entry, pivot_columns,
+                     rank, solve_matrix)
 from .rings import LOCAL, QQ, QPoly, RatFun
 from .spectral import SpectralSequence, StratumLabel, stratum_label
 from .strata import GradedDims, RankVector
@@ -99,11 +99,6 @@ def validate_family(dims, raw_diffs) -> PolyComplex:
     return PolyComplex(dims, diffs)
 
 
-def generic_rank_vector(pc: PolyComplex) -> RankVector:
-    """Ranks over the fraction field Q(t), by valuation-aware elimination."""
-    return RankVector(pc.dims, tuple(local_rank(d) for d in pc.diffs))
-
-
 class Block(NamedTuple):
     degree: int      # the block maps V^degree -> V^{degree+1}
     exponent: int    # the differential is multiplication by t^exponent
@@ -131,6 +126,14 @@ class DVRDecomposition:
             key = (b.degree, b.exponent)
             out[key] = out.get(key, 0) + 1
         return out
+
+    def rank_vector(self) -> RankVector:
+        """Ranks of the differentials over Q(t): g D g^{-1} is a sum of
+        blocks t^a, so each degree's rank is its number of blocks."""
+        counts = [0] * self.dims.m
+        for b in self.blocks:
+            counts[b.degree] += 1
+        return RankVector(self.dims, tuple(counts))
 
     def block_multiset(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted((b.degree, b.exponent) for b in self.blocks))

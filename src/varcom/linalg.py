@@ -17,9 +17,10 @@ objects with decidable equality.  Products, ``apply`` and zero tests skip
 zero entries by truthiness, which is what makes the sparse matrices of
 the filtered oracle cheap.
 
-The local ring also has elimination by minimal t-adic valuation, for ranks
-over Q(t) and the block splitting of families; its pivot is the entry that
-``min_valuation_entry`` finds.
+The block splitting of families (``degeneration.dvr_decompose``) pivots
+on an entry of minimal t-adic valuation, the one ``min_valuation_entry``
+finds; its blocks also give the ranks over Q(t), so there is no separate
+local-ring rank routine.
 """
 
 from __future__ import annotations
@@ -415,16 +416,7 @@ def complement_basis(sub: Matrix, ambient_dim: int) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Valuation-aware elimination over the local ring at t = 0.
-
-def local_rank(M: Matrix) -> int:
-    """Rank over the fraction field Q(t), computed without leaving the
-    local ring: pivots of minimal t-adic valuation make every elimination
-    quotient regular at 0."""
-    if M.domain != LOCAL:
-        raise TypeError("local_rank expects local-ring entries")
-    return len(local_pivot_elimination(M)[1])
-
+# The local ring at t = 0.
 
 def min_valuation_entry(grid, rows, cols):
     """(valuation, i, j) of the first nonzero entry of least t-adic
@@ -443,37 +435,6 @@ def min_valuation_entry(grid, rows, cols):
                     if v == 0:
                         return best
     return best
-
-
-def local_pivot_elimination(M: Matrix):
-    """Eliminate with minimal-valuation pivoting.
-
-    Returns (pivot_entries, pivot_positions): the pivot scalars seen (in
-    order) and their (row, col) positions in the original matrix.  Row and
-    column indices are retired as pivots are chosen.
-    """
-    grid = [list(row) for row in M.entries]
-    live_rows = list(range(M.rows))
-    live_cols = list(range(M.cols))
-    pivot_entries = []
-    pivot_positions = []
-    while live_rows and live_cols:
-        best = min_valuation_entry(grid, live_rows, live_cols)
-        if best is None:
-            break
-        _, pi, pj = best
-        piv = grid[pi][pj]
-        pivot_entries.append(piv)
-        pivot_positions.append((pi, pj))
-        for i in live_rows:
-            if i == pi or grid[i][pj].is_zero():
-                continue
-            c = grid[i][pj] / piv      # val >= 0 by pivot minimality
-            for j in live_cols:
-                grid[i][j] = grid[i][j] - c * grid[pi][j]
-        live_rows.remove(pi)
-        live_cols.remove(pj)
-    return pivot_entries, pivot_positions
 
 
 def local_from_rational(M: Matrix) -> Matrix:

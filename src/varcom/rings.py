@@ -317,14 +317,6 @@ class QPoly:
     def __mul__(self, other):
         return _reduced(_mul(self._c, other._c), self._d * other._d)
 
-    def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r, m = _pdivmod(self._c, other._c)
-        # m a = q b + r, so a/da = (q db / (m da)) (b/db) + r / (m da)
-        d = m * self._d
-        return _reduced(_scale(q, other._d), d), _reduced(r, d)
-
     def __eq__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
@@ -349,12 +341,6 @@ class QPoly:
         for c in reversed(self._c):
             acc = acc * inner + QPoly((c,))
         return _reduced(acc._c, acc._d * self._d)
-
-    def series_inverse(self, order: int) -> "QPoly":
-        """Power-series inverse mod t^order; requires coeff(0) != 0."""
-        if not self._c or not self._c[0]:
-            raise ZeroDivisionError("series inverse needs a unit constant term")
-        return _series((self._d,), self._c, order)
 
     def __repr__(self):
         if self.is_zero():

@@ -4,8 +4,7 @@ import pytest
 
 import random
 
-from varcom import (chart_jacobian_rank, morphism_space, nullhomotopic_space,
-                    stabilizer_dim)
+from varcom import tangent_data
 from varcom.suites import _random_dims, degeneration_suite, random_complex
 
 
@@ -32,13 +31,14 @@ def stratum_sample():
         dims = _random_dims(rng, max_m=4, max_n=5)
         c, rv = random_complex(rng, dims)
         h = rv.cohomology_dims()
+        td = tangent_data(c)
         points.append(SamplePoint(
             c, rv,
-            tangent=len(morphism_space(c)),
-            orbit=len(nullhomotopic_space(c)),
-            stab=stabilizer_dim(c),
+            tangent=td.tangent,
+            orbit=td.orbit,
+            stab=td.stabilizer,
             normal=sum(h[i] * h[i + 1] for i in range(dims.m)),
-            chart=chart_jacobian_rank(c)))
+            chart=td.chart))
     return points, time.monotonic() - t0
 
 

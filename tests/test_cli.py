@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from varcom import cli, formats
+from varcom import complexes as cx
 from varcom.degeneration import PolyComplex
 from varcom.linalg import Matrix
 from varcom.rings import LOCAL
@@ -167,6 +168,32 @@ class TestAnalyze:
         assert cli.main(["analyze", str(doc)]) == 2
         assert "401" in capsys.readouterr().err
 
+    def test_one_homotopy_matrix_one_elimination(self, capsys, monkeypatch):
+        built, eliminated = [], []
+        homotopy = cx._homotopy_matrix
+
+        def counted_homotopy(c):
+            theta = homotopy(c)
+            built.append(theta.cols)
+            return theta
+
+        def counted(fn):
+            def wrapper(M):
+                eliminated.append(M.cols)
+                return fn(M)
+            return wrapper
+
+        monkeypatch.setattr(cx, "_homotopy_matrix", counted_homotopy)
+        monkeypatch.setattr(cx, "pivot_columns", counted(cx.pivot_columns))
+        monkeypatch.setattr(cx, "rank", counted(cx.rank))
+        assert cli.main(["analyze", str(ROOT / "demos/complexes/rank_one.json"),
+                         "--json"]) == 0
+        normal = json.loads(capsys.readouterr().out)["normal_dim"]
+        # Dims (2, 2): theta has sum(n_i^2) = 8 columns, and the one
+        # elimination that sees them is that of [theta | eta].
+        assert built == [8]
+        assert [cols for cols in eliminated if cols >= 8] == [8 + normal]
+
 
 class TestLimit:
     @pytest.mark.parametrize("path", FAMILIES, ids=lambda p: p.stem)
@@ -306,6 +333,18 @@ class TestVerify:
         proc = run_cli(["verify", *flags])
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and named in proc.stderr
+
+    def test_random_size_budget(self):
+        # (max_m + 1) * max_dim^2 = 405 bounds sum(n_i^2) of a drawn dims
+        proc = run_cli(["verify", "--suite", "random", "--max-m", "4",
+                        "--max-dim", "9"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert "405" in proc.stderr and str(cli.ANALYZE_MAX_SQUARES) in proc.stderr
+
+    def test_random_size_budget_edge(self, capsys):
+        assert cli.main(["verify", "--suite", "random", "--max-m", "5",
+                         "--max-dim", "8", "--cases", "0"]) == 0   # 384
 
     def test_degeneration_max_m(self, capsys):
         assert cli.main(["verify", "--suite", "degeneration", "--seed", "1",

@@ -1,13 +1,16 @@
+import random
+
 import pytest
 
 from varcom.complexes import (Complex, GradedMap, NotAComplexError,
                               assemble_D_delta, canonical_representative,
-                              chart_jacobian_rank, cohomology, morphism_space,
-                              nullhomotopic_space, rank_vector,
-                              split_canonical, stabilizer_dim, validate)
+                              cohomology, morphism_space, nullhomotopic_space,
+                              rank_vector, split_canonical, tangent_data,
+                              validate)
 from varcom.linalg import Matrix
 from varcom.rings import QQ
 from varcom.strata import GradedDims, RankVector
+from varcom.suites import _random_dims, random_complex
 
 
 class TestValidate:
@@ -118,11 +121,11 @@ class TestHomSpaces:
 
     def test_stabilizer_examples(self):
         c1 = validate((2, 2), [[[1, 0], [0, 0]]])
-        assert stabilizer_dim(c1) == 5
+        assert tangent_data(c1).stabilizer == 5
         c0 = Complex.zero(GradedDims((2, 2)))
-        assert stabilizer_dim(c0) == 8
+        assert tangent_data(c0).stabilizer == 8
         c2 = validate((1, 1), [[[1]]])
-        assert stabilizer_dim(c2) == 1
+        assert tangent_data(c2).stabilizer == 1
 
     def test_nullhomotopic_members_are_homotopies(self):
         c = validate((1, 2, 1), [[[1], [0]], [[0, 1]]])
@@ -174,17 +177,88 @@ class TestAssemble:
 class TestChartRank:
     def test_rank_one_point(self):
         c = validate((2, 2), [[[1, 0], [0, 0]]])
-        assert chart_jacobian_rank(c) == 4      # orbit 3 + normal 1
+        assert tangent_data(c).chart == 4      # orbit 3 + normal 1
 
     def test_maximal_stratum_no_normal_directions(self):
         c = validate((1, 2, 1), [[[1], [0]], [[0, 1]]])   # h = 0
-        assert chart_jacobian_rank(c) == len(nullhomotopic_space(c))
+        assert tangent_data(c).chart == len(nullhomotopic_space(c))
 
     def test_zero_complex_full_hom(self):
         dims = GradedDims((2, 3, 1))
         c = Complex.zero(dims)
         expected = sum(dims[i] * dims[i + 1] for i in range(dims.m))
-        assert chart_jacobian_rank(c) == expected
+        assert tangent_data(c).chart == expected
+
+
+def unit(rows, cols, a, b):
+    return Matrix(QQ, rows, cols,
+                  [[int((i, j) == (a, b)) for j in range(cols)]
+                   for i in range(rows)])
+
+
+def flatten(maps):
+    """Entries of the components of a degree-1 map, row-major in degree
+    order."""
+    return [x for f in maps for row in f.entries for x in row]
+
+
+def theta_and_eta(c):
+    """Columns of the homotopy map s |-> sD - Ds, one per unit matrix s
+    in some degree, and of the chart's normal directions, each the change
+    of D_delta when delta is one unit matrix on the cohomology: both built
+    from matrix products, not from the coordinate layout of tangent_data."""
+    dims, m = c.dims, c.dims.m
+    theta = []
+    for j in range(m + 1):
+        for a in range(dims[j]):
+            for b in range(dims[j]):
+                s = [unit(n, n, a, b) if k == j else Matrix.zeros(QQ, n, n)
+                     for k, n in enumerate(dims)]
+                theta.append(flatten([s[i + 1] @ c.diffs[i] - c.diffs[i] @ s[i]
+                                      for i in range(m)]))
+    h = cohomology(c).h
+    eta = []
+    for i in range(m):
+        for a in range(h[i + 1]):
+            for b in range(h[i]):
+                delta = [unit(h[k + 1], h[k], a, b) if k == i
+                         else Matrix.zeros(QQ, h[k + 1], h[k]) for k in range(m)]
+                moved = assemble_D_delta(c, delta)
+                eta.append(flatten([moved.diffs[k] - c.diffs[k]
+                                    for k in range(m)]))
+    return theta, eta
+
+
+class TestTangentData:
+    def test_fields_against_separate_computations(self):
+        sympy = pytest.importorskip("sympy")
+
+        def sympy_rank(columns, rows):
+            flat = [sympy.Rational(x.numerator, x.denominator)
+                    for col in columns for x in col]
+            return sympy.Matrix(len(columns), rows, flat).rank()
+
+        rng = random.Random(77)
+        normals = 0
+        for _ in range(120):
+            dims = _random_dims(rng, max_m=3, max_n=3)
+            c, rv = random_complex(rng, dims)
+            td = tangent_data(c)
+            h = rv.cohomology_dims()
+            theta, eta = theta_and_eta(c)
+            f_total = sum(dims[i] * dims[i + 1] for i in range(dims.m))
+            assert td.tangent == len(morphism_space(c))
+            assert td.orbit == len(nullhomotopic_space(c))
+            assert td.stabilizer == len(theta) - sympy_rank(theta, f_total)
+            assert td.normal == sum(h[i] * h[i + 1] for i in range(dims.m))
+            assert td.chart == sympy_rank(theta + eta, f_total)
+            normals += td.normal > 0
+        assert normals >= 30
+
+    def test_canonical_and_zero_points(self):
+        c = validate((2, 3, 2), [[[1, 0], [0, 0], [0, 0]], [[0, 0, 1], [0, 0, 0]]])
+        assert tangent_data(c) == (9, 7, 10, 2, 9)
+        assert tangent_data(Complex.zero(GradedDims((3,)))) == (0, 0, 9, 0, 0)
 
 
 class TestGradedMap:

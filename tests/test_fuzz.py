@@ -1,7 +1,9 @@
-"""Fuzzing the input contract of family and complex documents.
+"""Fuzzing the input contract of family, complex and spectral-sequence
+documents.
 
-``formats.parse_family`` either returns a family or raises one of the
-errors that ``varcom`` reports as bad input, and ``varcom limit`` and
+``formats.parse_family`` and ``formats.parse_spectral_sequence`` either
+return a value that round-trips or raise one of the errors that
+``varcom`` reports as bad input, and ``varcom limit`` and
 ``varcom analyze`` on any document exit 0 with a result or exit 2 with
 exactly one line on stderr: never a traceback, never the exit 1 of a
 mathematical failure.
@@ -18,7 +20,9 @@ from hypothesis import strategies as st
 
 from varcom import cli, formats, suites
 from varcom.complexes import NotAComplexError
-from varcom.strata import GradedDims
+from varcom.degeneration import limit_complete_complex
+from varcom.spectral import canonical_ss_from_chain
+from varcom.strata import GradedDims, enumerate_chains
 
 BAD_INPUT = (formats.DocumentError, NotAComplexError)
 
@@ -97,6 +101,37 @@ def complex_documents(draw):
     return damaged(draw, doc)
 
 
+@st.composite
+def spectral_sequence_documents(draw):
+    """(document, spectral sequence it was emitted from, or None if
+    damaged): canonical spectral sequences of random chains and limits of
+    planted families, as emitted or with one page damaged, dropped or
+    duplicated, and arbitrary JSON values."""
+    kind = draw(st.sampled_from(["canonical", "limit", "any"]))
+    if kind == "any":
+        return draw(json_value), None
+    dims = GradedDims(draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)))
+    if kind == "canonical":
+        ss = canonical_ss_from_chain(
+            draw(st.sampled_from(enumerate_chains(dims)))).ss
+    else:
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        ss = limit_complete_complex(suites.plant_block_family(rng, dims, 3)[0]).ss
+    doc = formats.emit_spectral_sequence(ss)
+    pages = doc["pages"]
+    damage = draw(st.sampled_from(["none", "page", "drop", "repeat", "pages"]))
+    k = draw(st.integers(0, len(pages) - 1))
+    if damage == "page":
+        pages[k] = damaged(draw, pages[k])
+    elif damage == "drop":
+        del pages[k]
+    elif damage == "repeat":
+        pages.insert(k, pages[k])
+    elif damage == "pages":
+        doc["pages"] = draw(json_value)
+    return doc, ss if damage == "none" else None
+
+
 # derandomize: the suite tests the same documents on every run
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -110,6 +145,20 @@ def test_parse_family_accepts_or_reports_bad_input(doc):
     except BAD_INPUT:
         return
     assert formats.parse_family(formats.emit_family(pc)) == pc
+
+
+@FUZZ
+@given(spectral_sequence_documents())
+def test_parse_spectral_sequence_accepts_or_reports_bad_input(case):
+    doc, emitted = case
+    try:
+        ss = formats.parse_spectral_sequence(doc)
+    except BAD_INPUT:
+        assert emitted is None
+        return
+    assert emitted is None or ss == emitted
+    assert formats.parse_spectral_sequence(
+        formats.emit_spectral_sequence(ss)) == ss
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from varcom.complexes import (Complex, canonical_representative, rank_vector,
-                              stabilizer_dim)
+                              tangent_data)
 from varcom.strata import (Chain, GradedDims, RankVector, covering_relations,
                            enumerate_R, enumerate_chains, hasse_dot,
                            is_maximal, maximal_elements, stratum_dim)
@@ -22,7 +22,7 @@ def brute_maximal(rv):
 def dense_stratum_dim(rv):
     """dim GL minus the stabilizer rank of the canonical representative."""
     return (sum(n * n for n in rv.dims)
-            - stabilizer_dim(canonical_representative(rv)))
+            - tangent_data(canonical_representative(rv)).stabilizer)
 
 
 class TestEnumerateR:
