@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from varcom import (GradedDims, LOCAL, Matrix, QPoly, RatFun, dvr_decompose,
                     exponent_rank_table, filtered_oracle,
-                    limit_complete_complex, rank_vector)
+                    limit_complete_complex)
 from varcom.degeneration import PolyComplex
 
 
@@ -30,8 +30,8 @@ def show(pc, name, oracle_N=None):
     dec = dvr_decompose(pc)
     print(f"elementary blocks (degree, t-exponent): {dec.block_multiset()}")
     limit = limit_complete_complex(pc, dec)
-    for nu, page in enumerate(limit.ss.pages):
-        print(f"  page {nu}: dims {page.dims.n} ranks {rank_vector(page).r}")
+    for nu, (page, rv) in enumerate(zip(limit.ss.pages, limit.ss.ranks)):
+        print(f"  page {nu}: dims {page.dims.n} ranks {rv.r}")
     if limit.label is not None:
         print(f"  stratum label: {[e.r for e in limit.label.elements]} "
               f"-> {limit.label.terminal.r}")

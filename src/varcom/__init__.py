@@ -20,8 +20,7 @@ from .degeneration import (Block, DVRDecomposition, InvariantError,
                            dvr_decompose, exponent_rank_table, filtered_oracle,
                            limit_complete_complex,
                            page_table_from_multiplicities, validate_family)
-from .linalg import (Matrix, complement_basis, inverse, kernel_basis,
-                     local_at_zero, rank)
+from .linalg import Matrix, inverse, kernel_basis, local_at_zero, rank
 from .rings import GF, INF, LOCAL, QQ, GFElement, QPoly, RatFun, valuation
 from .spectral import (CompleteComplex, SpectralSequence, StratumLabel,
                        canonical_ss_from_chain, normalize,
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF", "INF", "LOCAL", "QQ", "GFElement", "QPoly", "RatFun", "valuation",
-    "Matrix", "rank", "kernel_basis", "complement_basis", "inverse",
+    "Matrix", "rank", "kernel_basis", "inverse",
     "local_at_zero",
     "GradedDims", "RankVector", "Chain", "enumerate_R", "is_maximal",
     "maximal_elements", "covering_relations", "stratum_dim",

@@ -89,8 +89,7 @@ def cmd_poset(args) -> int:
 
 def _page_report(limit: dg.LimitResult) -> list[str]:
     lines = []
-    for nu, page in enumerate(limit.ss.pages):
-        rv = cx.rank_vector(page)
+    for nu, (page, rv) in enumerate(zip(limit.ss.pages, limit.ss.ranks)):
         lines.append(f"  page {nu}: dims {page.dims.n} ranks {rv.r}")
     if limit.label is not None:
         chain = [e.r for e in limit.label.elements]
@@ -129,9 +128,8 @@ def cmd_limit(args) -> int:
         "dims": list(pc.dims.n),
         "multiplicities": [{"degree": d, "exponent": a, "count": c}
                            for (d, a), c in sorted(mult.items())],
-        "pages": [{"dims": list(p.dims.n),
-                   "ranks": list(cx.rank_vector(p).r)}
-                  for p in limit.ss.pages],
+        "pages": [{"dims": list(p.dims.n), "ranks": list(rv.r)}
+                  for p, rv in zip(limit.ss.pages, limit.ss.ranks)],
         "exponent_table": [{"dims": list(ds), "ranks": list(rs)}
                            for ds, rs in table],
         "label": formats.emit_label(limit.label),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .linalg import (Matrix, complement_basis, extend_columns, inverse,
+from .linalg import (Matrix, _kernel_and_pivots, extend_columns, inverse,
                      kernel_basis, pivot_columns, rank)
 from .rings import QQ, Domain
 from .strata import GradedDims, RankVector
@@ -129,11 +129,6 @@ class GradedMap:
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.components)
 
-    def inverse(self) -> "GradedMap":
-        if self.degree != 0:
-            raise ValueError("only degree-0 maps can be inverted")
-        return GradedMap(self.dims, 0, [inverse(f) for f in self.components])
-
     def conjugate(self, c: Complex) -> Complex:
         """Transport a differential through this degree-0 isomorphism:
         D -> (g D g^{-1})_i = g_{i+1} D_i g_i^{-1}."""
@@ -167,21 +162,30 @@ class CohomologyData:
     lifts[i] has h_i columns: representatives in V^i of the canonical
     basis of H^i, lying in Ker(D_i).  projections[i] is an h_i x n_i
     matrix killing Im(D_{i-1}) with projections[i] @ lifts[i] = identity.
+    images[i] has r_i columns, the pivot columns of D_{i-1}: a basis of
+    Im(D_{i-1}).
     """
 
-    __slots__ = ("h", "lifts", "projections")
+    __slots__ = ("h", "lifts", "projections", "images")
 
-    def __init__(self, h, lifts, projections):
+    def __init__(self, h, lifts, projections, images):
         self.h = tuple(h)
         self.lifts = tuple(lifts)
         self.projections = tuple(projections)
+        self.images = tuple(images)
 
 
 def _adapted_bases(c: Complex):
-    """Per-degree basis adapted to Im(D_{i-1}) | W^i | H^i, where W^i is a
-    greedy complement of Ker(D_i) and H^i greedily extends the image
-    inside the kernel.  In these bases the differential becomes the
-    canonical block form of its rank vector.
+    """Per-degree basis adapted to Im(D_{i-1}) | W^i | H^i, where W^i is
+    the greedy complement of Ker(D_i) among standard vectors and H^i
+    greedily extends the image inside the kernel.  In these bases the
+    differential becomes the canonical block form of its rank vector.
+
+    One rref of D_i gives Ker(D_i) and the pivot columns J of D_i, and
+    these give the rest: e_j is independent modulo Ker(D_i) and the e_k
+    chosen before it iff column j of D_i is independent of the columns
+    before it, so W^i = {e_j : j in J}, and its image D_i W^i, the first
+    block of degree i+1, is the columns J of D_i.
 
     Returns (full_ranks, B, Binv) with B[i] the basis-column matrix.
     """
@@ -189,34 +193,25 @@ def _adapted_bases(c: Complex):
         return c._adapted
     dims, dom = c.dims, c.domain
     m = dims.m
-    kernels = []
-    for i in range(m):
-        kernels.append(kernel_basis(c.diffs[i]))
-    kernels.append(Matrix.identity(dom, dims[m]))
-
-    wblocks = []
-    for i in range(m + 1):
-        if i < m:
-            comp = complement_basis(kernels[i], dims[i])
-            wblocks.append(comp.columns())
-        else:
-            wblocks.append([])
-
+    z, o = dom.zero, dom.one
     full = [0] * (m + 2)
     B = []
     Binv = []
-    prev_image_cols: list = []
+    im_cols: list = []
     for i in range(m + 1):
-        im_cols = prev_image_cols
+        n = dims[i]
+        if i < m:
+            ker, pivots = _kernel_and_pivots(c.diffs[i])
+        else:
+            ker, pivots = Matrix.identity(dom, n), []
+        w_cols = [[o if k == j else z for k in range(n)] for j in pivots]
         full[i] = len(im_cols)
-        h_cols = extend_columns(dom, dims[i], im_cols, kernels[i].columns())
-        cols = im_cols + wblocks[i] + h_cols
-        Bi = Matrix.from_columns(dom, dims[i], cols)
+        h_cols = extend_columns(dom, n, im_cols, ker.columns())
+        Bi = Matrix.from_columns(dom, n, im_cols + w_cols + h_cols)
         B.append(Bi)
         Binv.append(inverse(Bi))
         if i < m:
-            prev_image_cols = [c.diffs[i].apply(w) for w in wblocks[i]]
-    full[m + 1] = 0
+            im_cols = [c.diffs[i].column(j) for j in pivots]
     c._adapted = (tuple(full), tuple(B), tuple(Binv))
     return c._adapted
 
@@ -225,15 +220,16 @@ def cohomology(c: Complex) -> CohomologyData:
     """Canonical cohomology data; h_i = n_i - r_i - r_{i+1}."""
     full, B, Binv = _adapted_bases(c)
     m = c.dims.m
-    h, lifts, projections = [], [], []
+    h, lifts, projections, images = [], [], [], []
     for i in range(m + 1):
         r_in, r_out = full[i], full[i + 1]
-        hi = c.dims[i] - r_in - r_out
-        h.append(hi)
-        h_cols = list(range(r_in + r_out, c.dims[i]))
-        lifts.append(B[i].submatrix(range(c.dims[i]), h_cols))
-        projections.append(Binv[i].submatrix(h_cols, range(c.dims[i])))
-    return CohomologyData(h, lifts, projections)
+        n = c.dims[i]
+        h.append(n - r_in - r_out)
+        h_cols = range(r_in + r_out, n)
+        lifts.append(B[i].submatrix(range(n), h_cols))
+        projections.append(Binv[i].submatrix(h_cols, range(n)))
+        images.append(B[i].submatrix(range(n), range(r_in)))
+    return CohomologyData(h, lifts, projections, images)
 
 
 def split_canonical(c: Complex):

@@ -18,10 +18,10 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .complexes import Complex, NotAComplexError, cohomology, rank_vector
+from .complexes import Complex, NotAComplexError, cohomology
 from .linalg import (Matrix, inverse, kernel_basis, local_at_zero,
-                     local_from_rational, min_valuation_entry, pivot_columns,
-                     rank, solve_matrix)
+                     local_from_rational, min_valuation_entry, rank,
+                     solve_matrix)
 from .rings import LOCAL, QQ, QPoly, RatFun
 from .spectral import SpectralSequence, StratumLabel, stratum_label
 from .strata import GradedDims, RankVector
@@ -310,19 +310,9 @@ def limit_complete_complex(pc: PolyComplex,
     for a in actives:
         page = pages[-1]
         coh = cohomology(page)
-        new_lifts = []
-        new_bnds = []
-        for i in range(m + 1):
-            new_lifts.append(lifts[i] @ coh.lifts[i])
-            if i >= 1:
-                prev_diff = page.diffs[i - 1]
-                pivots = pivot_columns(prev_diff)
-                img_cols = prev_diff.submatrix(range(prev_diff.rows), pivots) \
-                    if pivots else Matrix.zeros(QQ, prev_diff.rows, 0)
-                new_bnds.append(bnds[i].hstack(lifts[i] @ img_cols))
-            else:
-                new_bnds.append(bnds[i])
-        lifts, bnds = new_lifts, new_bnds
+        bnds = [b.hstack(lift @ im)
+                for b, lift, im in zip(bnds, lifts, coh.images)]
+        lifts = [lift @ h_lift for lift, h_lift in zip(lifts, coh.lifts)]
         amb_map = exponent_map(a)
         new_dims = GradedDims(coh.h)
         diffs = []
@@ -336,7 +326,9 @@ def limit_complete_complex(pc: PolyComplex,
             diffs.append(sol.submatrix(range(new_dims[i + 1]), range(new_dims[i])))
         pages.append(Complex(new_dims, diffs))
 
-    final_dims = GradedDims(rank_vector(pages[-1]).cohomology_dims())
+    # The free summands are the abutment; SpectralSequence checks them
+    # against the ranks of the last page.
+    final_dims = GradedDims(map(len, dec.free))
     pages.append(Complex.zero(final_dims))
     ss = SpectralSequence(pages)
     reduced = final_dims.is_sparse()

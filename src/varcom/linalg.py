@@ -10,12 +10,12 @@ by unit pivots: over a field any nonzero entry, over the local ring an
 entry of valuation 0.  All basis-producing operations follow from the
 reduced row echelon form, which is unique, so both kernels give the same
 answers: kernel vectors set the free coordinate to 1 in ascending index
-order, and complements and extensions keep the pivot columns, i.e. each
-candidate that is independent of the columns before it.  Reproducibility
-of these choices is what later makes spectral-sequence pages canonical
-objects with decidable equality.  Products, ``apply`` and zero tests skip
-zero entries by truthiness, which is what makes the sparse matrices of
-the filtered oracle cheap.
+order, and extensions keep the pivot columns, i.e. each candidate that is
+independent of the columns before it.  Reproducibility of these choices
+is what later makes spectral-sequence pages canonical objects with
+decidable equality.  Products, ``apply`` and zero tests skip zero entries
+by truthiness, which is what makes the sparse matrices of the filtered
+oracle cheap.
 
 The block splitting of families (``degeneration.dvr_decompose``) pivots
 on an entry of minimal t-adic valuation, the one ``min_valuation_entry``
@@ -300,28 +300,20 @@ def rref(M: Matrix):
     return Matrix._of(M.domain, M.rows, M.cols, grid), pivots
 
 
-def _pivots(M: Matrix) -> list[int]:
-    """pivot_columns without the field check, for rank."""
+def pivot_columns(M: Matrix) -> list[int]:
+    """Pivot columns of the reduced row echelon form of M, without the
+    form itself: over Q no Fraction is built and no row above a pivot is
+    reduced."""
+    _require_field(M, "pivot_columns")
     if M.domain == QQ:
         g = _int_rows(M.entries)
         return _int_rref(g, M.cols, jordan=False) if g else []
     return _rref([list(row) for row in M.entries], M.rows, M.cols)
 
 
-def pivot_columns(M: Matrix) -> list[int]:
-    """Pivot columns of the reduced row echelon form of M, without the
-    form itself: over Q no Fraction is built and no row above a pivot is
-    reduced."""
-    _require_field(M, "pivot_columns")
-    return _pivots(M)
-
-
 def rank(M: Matrix) -> int:
-    """Rank of a matrix over a field: the number of its pivot columns,
-    over Q from the integer kernel with no Fraction built, over F_p from
-    the unit-pivot kernel."""
-    _require_field(M, "rank")
-    return len(_pivots(M))
+    """Rank of a matrix over a field: the number of its pivot columns."""
+    return len(pivot_columns(M))
 
 
 def kernel_basis(M: Matrix) -> Matrix:
@@ -330,6 +322,11 @@ def kernel_basis(M: Matrix) -> Matrix:
     Free columns of the RREF, taken in ascending index order, each give a
     basis vector with a 1 in the free coordinate.
     """
+    return _kernel_and_pivots(M)[0]
+
+
+def _kernel_and_pivots(M: Matrix):
+    """(kernel_basis(M), pivot_columns(M)) from one rref of M."""
     _require_field(M, "kernel_basis")
     R, pivots = rref(M)
     pivot_set = set(pivots)
@@ -342,7 +339,7 @@ def kernel_basis(M: Matrix) -> Matrix:
             x = R.entries[k][f]
             if x:
                 grid[p][c] = -x
-    return Matrix._of(M.domain, M.cols, len(free), grid)
+    return Matrix._of(M.domain, M.cols, len(free), grid), pivots
 
 
 def solve_matrix(M: Matrix, B: Matrix):
@@ -397,22 +394,6 @@ def extend_columns(domain: Domain, dim: int, base_cols, candidates):
     if pivots[:len(base)] != list(range(len(base))):
         raise ValueError("dependent base columns")
     return [cols[j] for j in pivots[len(base):]]
-
-
-def complement_basis(sub: Matrix, ambient_dim: int) -> Matrix:
-    """Greedy complement of the column span of sub inside k^ambient_dim,
-    built from standard basis vectors in index order."""
-    _require_field(sub, "complement_basis")
-    if sub.rows != ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    z, o = sub.domain.zero, sub.domain.one
-    std = []
-    for j in range(ambient_dim):
-        e = [z] * ambient_dim
-        e[j] = o
-        std.append(e)
-    chosen = extend_columns(sub.domain, ambient_dim, sub.columns(), std)
-    return Matrix.from_columns(sub.domain, ambient_dim, chosen)
 
 
 # ---------------------------------------------------------------------------

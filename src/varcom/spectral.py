@@ -26,18 +26,20 @@ from .strata import Chain, GradedDims, RankVector
 class SpectralSequence:
     """Pages E_0..E_L with compatible dimension chains; the final page has
     zero differential.  A single page with zero differential is the
-    degenerate case L = 0."""
+    degenerate case L = 0.  ranks[nu] is the rank vector of page nu, kept
+    from the validation."""
 
-    __slots__ = ("pages",)
+    __slots__ = ("pages", "ranks")
 
     def __init__(self, pages):
         pages = tuple(pages)
         if not pages:
             raise ValueError("a spectral sequence needs at least one page")
         amb = pages[0].dims
+        ranks = []
         for nu, page in enumerate(pages[1:], start=1):
-            prev = pages[nu - 1]
-            expect = GradedDims(rank_vector(prev).cohomology_dims())
+            ranks.append(rank_vector(pages[nu - 1]))
+            expect = GradedDims(ranks[-1].cohomology_dims())
             if page.dims != expect:
                 raise ValueError(
                     f"page {nu} has dims {page.dims.n}, but the cohomology of "
@@ -48,6 +50,7 @@ class SpectralSequence:
         if any(not d.is_zero() for d in last.diffs):
             raise ValueError("the final page must carry the zero differential")
         self.pages = pages
+        self.ranks = tuple(ranks) + (RankVector.zero(last.dims),)
 
     @property
     def ambient_dims(self) -> GradedDims:
@@ -106,8 +109,7 @@ def stratum_label(ss: SpectralSequence) -> StratumLabel:
     m = amb.m
     cumulative = []
     acc = [0] * m
-    for nu in range(len(ss.pages) - 1):
-        rv = rank_vector(ss.pages[nu])
+    for rv in ss.ranks[:-1]:
         acc = [a + b for a, b in zip(acc, rv.r)]
         cumulative.append(RankVector(amb, tuple(acc)))
     if not cumulative:
@@ -190,7 +192,8 @@ class CompleteComplex:
 def normalize(ss, variant: str = _AFFINE) -> CompleteComplex:
     """Scale every differential subject to the variant's scaling action so
     that its first nonzero entry in scan order is 1.  Idempotent; the
-    result is the canonical member of the equivalence class."""
+    result is the canonical member of the equivalence class.  A sequence
+    that needs no scaling is kept as it is, ranks included."""
     if isinstance(ss, CompleteComplex):
         if ss.variant != variant:
             raise ValueError(f"variant mismatch: have {ss.variant}, asked {variant}")
@@ -199,7 +202,8 @@ def normalize(ss, variant: str = _AFFINE) -> CompleteComplex:
     if not check.ok:
         raise ValueError("cannot normalize: " + "; ".join(check.problems))
     pages = list(ss.pages)
-    if len(pages) == 1:
+    changed = len(pages) == 1
+    if changed:
         # Degenerate single page: make the zero differential and its
         # (identical) abutment explicit so equality is structural.
         pages = [pages[0], Complex(pages[0].dims, pages[0].diffs)]
@@ -210,5 +214,6 @@ def normalize(ss, variant: str = _AFFINE) -> CompleteComplex:
             c = _first_nonzero(page)
             if c is not None and c != page.domain.one:
                 page = _scale_page(page, c)
+                changed = True
         out.append(page)
-    return CompleteComplex(SpectralSequence(out), variant)
+    return CompleteComplex(SpectralSequence(out) if changed else ss, variant)

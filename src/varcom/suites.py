@@ -402,7 +402,7 @@ def degeneration_suite(seed: int, cases: int = 100, max_m: int = 3,
 
         mult = dec.multiplicities()
         limit = dg.limit_complete_complex(pc, dec)
-        if cx.rank_vector(limit.ss.pages[0]).r != \
+        if limit.ss.ranks[0].r != \
                 tuple(mult.get((i, 0), 0) for i in range(dims.m)):
             fail("page-0 ranks differ from exponent-0 multiplicities")
         if limit.reduced != st.is_maximal(dec.rank_vector()):

@@ -7,10 +7,13 @@ from varcom.complexes import (Complex, GradedMap, NotAComplexError,
                               cohomology, morphism_space, nullhomotopic_space,
                               rank_vector, split_canonical, tangent_data,
                               validate)
-from varcom.linalg import Matrix
-from varcom.rings import QQ
-from varcom.strata import GradedDims, RankVector
+from varcom import complexes as cx
+from varcom.linalg import Matrix, rank
+from varcom.rings import GF, QQ
+from varcom.strata import GradedDims, RankVector, enumerate_R
 from varcom.suites import _random_dims, random_complex
+
+import adapted_reference
 
 
 class TestValidate:
@@ -68,6 +71,44 @@ class TestCohomology:
             assert coh.projections[i] @ coh.lifts[i] == \
                 Matrix.identity(QQ, coh.h[i])
         assert (c.diffs[0] @ coh.lifts[0]).is_zero()
+
+
+class TestAdaptedBasesOracle:
+    """_adapted_bases, cohomology and split_canonical against the
+    brute-force construction in adapted_reference, on a random point of
+    every stratum: zero and full-rank differentials, and zero dims."""
+
+    DIMS = ((2, 3, 2), (3, 3), (1, 2, 2, 1), (2, 4, 3, 1), (0, 2, 1),
+            (2, 0, 2), (0, 0), (3,))
+
+    @staticmethod
+    def invertible(rng, domain, n):
+        while True:
+            g = Matrix(domain, n, n, [[rng.randint(-2, 2) for _ in range(n)]
+                                      for _ in range(n)])
+            if rank(g) == n:
+                return g
+
+    @pytest.mark.parametrize("domain", [QQ, GF(5)], ids=str)
+    def test_against_reference(self, domain):
+        rng = random.Random(41)
+        for dims in map(GradedDims, self.DIMS):
+            for rv in enumerate_R(dims):
+                g = GradedMap(dims, 0, [self.invertible(rng, domain, n)
+                                        for n in dims])
+                c = g.conjugate(canonical_representative(rv, domain))
+                full, B, Binv = adapted_reference.adapted_bases(c)
+                assert cx._adapted_bases(c) == (full, B, Binv)
+                coh = cohomology(c)
+                for i, n in enumerate(dims):
+                    h_cols = range(full[i] + full[i + 1], n)
+                    assert coh.h[i] == len(h_cols)
+                    assert coh.lifts[i] == B[i].submatrix(range(n), h_cols)
+                    assert coh.projections[i] == Binv[i].submatrix(h_cols, range(n))
+                    assert coh.images[i] == B[i].submatrix(range(n), range(full[i]))
+                split, r = split_canonical(c)
+                assert split.components == Binv
+                assert r == rv
 
 
 class TestSplitCanonical:

@@ -1,0 +1,108 @@
+"""One elimination per differential: counted calls on the cohomology,
+limit and stratum-label paths."""
+
+import pathlib
+import random
+
+from varcom import cli, formats, linalg
+from varcom import complexes as cx
+from varcom import degeneration as dg
+from varcom.spectral import canonical_ss_from_chain, stratum_label
+from varcom.strata import GradedDims, enumerate_chains
+from varcom.suites import random_complex
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FAMILIES = sorted((ROOT / "demos" / "families").glob("*.json"))
+
+
+def counted(monkeypatch, module, name, calls=None):
+    """Replace module.name by a wrapper that records its matrix argument
+    in calls; every rank goes through linalg.pivot_columns."""
+    calls = [] if calls is None else calls
+    fn = getattr(module, name)
+
+    def wrapper(M, *args):
+        calls.append(M)
+        return fn(M, *args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def counted_ranks(monkeypatch):
+    """Calls of linalg.pivot_columns and of the rank that rank_vector uses."""
+    calls = counted(monkeypatch, linalg, "pivot_columns")
+    return counted(monkeypatch, cx, "rank", calls)
+
+
+def test_cohomology_one_rref_per_differential(monkeypatch):
+    rng = random.Random(5)
+    for dims in ((2, 3, 3, 1), (3, 3), (1, 2, 1), (2, 0, 2)):
+        c, _ = random_complex(rng, GradedDims(dims))
+        rrefs = counted(monkeypatch, linalg, "rref")
+        pivots = counted(monkeypatch, linalg, "pivot_columns")
+        cx.cohomology(c)
+        cx.cohomology(c)
+        assert [id(M) for M in rrefs] == [id(d) for d in c.diffs]
+        # The only other elimination: one greedy extension per degree.
+        assert len(pivots) == len(dims)
+        monkeypatch.undo()
+
+
+def test_limit_calls_no_pivot_columns(monkeypatch):
+    def refuse(M):
+        raise AssertionError("limit eliminated a page again")
+
+    monkeypatch.setattr(dg, "pivot_columns", refuse, raising=False)
+    for path in FAMILIES:
+        pc = formats.parse_family(formats.load_json(str(path)))
+        dg.limit_complete_complex(pc)
+
+
+def test_limit_report_makes_no_rank_call(monkeypatch, tmp_path, capsys):
+    """After limit_complete_complex returns, cmd_limit's page report and
+    JSON pages read the kept ranks."""
+    ranked, after = [], []
+    limit = dg.limit_complete_complex
+
+    def limit_then_count(*args):
+        result = limit(*args)
+        after.append(True)
+        return result
+
+    def ranks(fn):
+        def wrapper(M):
+            if after:
+                ranked.append(M)
+            return fn(M)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "pivot_columns", ranks(linalg.pivot_columns))
+    monkeypatch.setattr(cx, "rank", ranks(cx.rank))
+    monkeypatch.setattr(dg, "limit_complete_complex", limit_then_count)
+    for path in FAMILIES:
+        after.clear()
+        assert cli.main(["limit", str(path), "--json",
+                         str(tmp_path / "out.json")]) == 0
+        assert after == [True]
+    assert "page 1:" in capsys.readouterr().out
+    assert ranked == []
+
+
+def test_stratum_label_makes_no_rank_call(monkeypatch):
+    chains = enumerate_chains(GradedDims((1, 2, 2, 1)))
+    sss = [canonical_ss_from_chain(c).ss for c in chains]
+    ranked = counted_ranks(monkeypatch)
+    assert [stratum_label(ss) for ss in sss] == chains
+    assert ranked == []
+
+
+def test_canonical_ss_ranks_each_page_once(monkeypatch):
+    ranked = counted(monkeypatch, linalg, "pivot_columns")
+    for dims in ((2, 2, 2), (1, 2, 2, 1)):
+        for chain in enumerate_chains(GradedDims(dims)):
+            ranked.clear()
+            ss = canonical_ss_from_chain(chain).ss
+            # The final page carries the zero differential and needs no rank.
+            assert sorted(map(id, ranked)) == sorted(
+                id(d) for page in ss.pages[:-1] for d in page.diffs)

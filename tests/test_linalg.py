@@ -6,13 +6,15 @@ import pytest
 
 from varcom import linalg
 from varcom.degeneration import PolyComplex, dvr_decompose
-from varcom.linalg import (Matrix, _int_rows, _int_rref, _rref,
-                           complement_basis, extend_columns, inverse,
-                           kernel_basis, local_at_zero, local_eval,
-                           pivot_columns, rank, rref, solve_matrix)
+from varcom.linalg import (Matrix, _int_rows, _int_rref, _kernel_and_pivots,
+                           _rref, extend_columns, inverse, kernel_basis,
+                           local_at_zero, local_eval, pivot_columns, rank,
+                           rref, solve_matrix)
 from varcom.rings import GF, LOCAL, QQ, QPoly, RatFun
 from varcom.strata import GradedDims
 from varcom.suites import _random_local_invertible
+
+from adapted_reference import complement_basis
 
 
 def qmat(rows):
@@ -113,6 +115,9 @@ class TestSolve:
 
 
 class TestComplement:
+    """The greedy complement, which the package no longer has: it survives
+    in the tests as the reference for the adapted bases."""
+
     def test_extend_e1(self):
         sub = Matrix.from_columns(QQ, 2, [[Fraction(1), Fraction(0)]])
         comp = complement_basis(sub, 2)
@@ -166,6 +171,21 @@ class TestComplement:
             if dependent is not None:
                 with pytest.raises(ValueError, match="dependent base"):
                     extend_columns(domain, dim, base + [dependent], cands)
+
+    @pytest.mark.parametrize("domain", [QQ, GF(5)], ids=str)
+    def test_complement_of_kernel_is_pivot_columns(self, domain):
+        """The greedy complement of ker M among standard vectors is
+        {e_j : j a pivot column of M}, and one rref gives both."""
+        rng = random.Random(29)
+        for _ in range(80):
+            r, c = rng.randint(0, 5), rng.randint(0, 6)
+            M = Matrix(domain, r, c, [[rng.choice([0, 0, 0, 1, -1, 2])
+                                       for _ in range(c)] for _ in range(r)])
+            ker, pivots = _kernel_and_pivots(M)
+            assert ker == kernel_basis(M)
+            assert pivots == pivot_columns(M)
+            std = Matrix.identity(domain, c)
+            assert complement_basis(ker, c) == std.submatrix(range(c), pivots)
 
 
 def generic_rank(m):
@@ -578,7 +598,7 @@ class TestIntegerKernelOracle:
         solve_matrix(M, Matrix.identity(QQ, 3))
         inverse(qmat([[1, 2], [3, 4]]))
         extend_columns(QQ, 3, [M.column(0)], M.columns())
-        complement_basis(kernel_basis(M), 3)
+        _kernel_and_pivots(M)
         with pytest.raises(AssertionError, match="Fraction _rref"):
             rank(Matrix.identity(GF(5), 2))
 
