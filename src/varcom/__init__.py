@@ -18,9 +18,9 @@ from .complexes import (CohomologyData, Complex, GradedMap, NotAComplexError,
 from .degeneration import (Block, DVRDecomposition, InvariantError,
                            LimitResult, PolyComplex, TruncationTooSmall,
                            dvr_decompose, exponent_rank_table, filtered_oracle,
-                           limit_complete_complex,
+                           limit_complete_complex, local_at_zero,
                            page_table_from_multiplicities, validate_family)
-from .linalg import Matrix, inverse, kernel_basis, local_at_zero, rank
+from .linalg import Matrix, inverse, kernel_basis, rank
 from .rings import GF, INF, LOCAL, QQ, GFElement, QPoly, RatFun, valuation
 from .spectral import (CompleteComplex, SpectralSequence, StratumLabel,
                        canonical_ss_from_chain, normalize,
@@ -34,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GF", "INF", "LOCAL", "QQ", "GFElement", "QPoly", "RatFun", "valuation",
     "Matrix", "rank", "kernel_basis", "inverse",
-    "local_at_zero",
     "GradedDims", "RankVector", "Chain", "enumerate_R", "is_maximal",
     "maximal_elements", "covering_relations", "stratum_dim",
     "enumerate_chains", "hasse_dot",
@@ -45,7 +44,7 @@ __all__ = [
     "SpectralSequence", "CompleteComplex", "StratumLabel", "validate_reduced",
     "stratum_label", "canonical_ss_from_chain", "normalize",
     "PolyComplex", "Block", "DVRDecomposition", "LimitResult",
-    "InvariantError", "TruncationTooSmall", "validate_family",
+    "InvariantError", "TruncationTooSmall", "validate_family", "local_at_zero",
     "dvr_decompose", "limit_complete_complex", "exponent_rank_table",
     "page_table_from_multiplicities", "filtered_oracle",
 ]

@@ -157,9 +157,15 @@ def cmd_limit(args) -> int:
 def cmd_analyze(args) -> int:
     doc = formats.load_json(args.complex)
     c = formats.parse_complex(doc, max_squares=ANALYZE_MAX_SQUARES)
-    rv = cx.rank_vector(c)
+    # The split's adapted bases give the ranks, and tangent_data reuses
+    # them: one elimination per differential.
+    _, rv = cx.split_canonical(c)
     h = rv.cohomology_dims()
     td = cx.tangent_data(c)
+    if td.orbit != st.stratum_dim(rv):
+        raise dg.InvariantError(
+            f"orbit dimension {td.orbit} differs from stratum_dim(r) = "
+            f"{st.stratum_dim(rv)} at r = {rv.r}")
     homotopy_ok = (td.tangent - td.orbit == td.normal)
     chart_ok = (td.chart == td.orbit + td.normal)
     payload = {

@@ -5,12 +5,14 @@ a complex of free modules over the local ring at 0.  Every such complex
 splits into shifted copies of the ring and two-term blocks R --t^a--> R;
 ``dvr_decompose`` finds this splitting by valuation-minimal pivoting, with
 the relations D^2 = 0 guaranteeing that each extracted block detaches
-cleanly from its neighbours.  The multiplicities m[i, a] of the blocks
-determine the limit of the family as t -> 0: a reduced spectral sequence
-whose page differentials are read off exactly, one active exponent at a
-time.  An independent brute-force oracle recomputes page dimensions and
-differential ranks from the classical filtered-complex subquotients over a
-truncation ring, and is used to cross-check the pivoting path.
+cleanly from its neighbours.  It is the only elimination over the local
+ring: ``linalg`` eliminates over fields only.  The multiplicities m[i, a]
+of the blocks determine the limit of the family as t -> 0: a reduced
+spectral sequence whose page differentials are read off exactly, one
+active exponent at a time.  An independent brute-force oracle recomputes
+page dimensions and differential ranks from the classical filtered-complex
+subquotients over a truncation ring, and is used to cross-check the
+pivoting path.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ import functools
 from typing import NamedTuple
 
 from .complexes import Complex, NotAComplexError, cohomology
-from .linalg import (Matrix, inverse, kernel_basis, local_at_zero,
-                     local_from_rational, min_valuation_entry, rank,
-                     solve_matrix)
+from .linalg import Matrix, inverse, kernel_basis, rank, solve_matrix
 from .rings import LOCAL, QQ, QPoly, RatFun
 from .spectral import SpectralSequence, StratumLabel, stratum_label
 from .strata import GradedDims, RankVector
@@ -30,6 +30,13 @@ from .strata import GradedDims, RankVector
 class InvariantError(RuntimeError):
     """An exact invariant that the mathematics guarantees failed to hold: a
     defect in the input's validation or in the program, never bad input."""
+
+
+def local_at_zero(M: Matrix) -> Matrix:
+    """Evaluate a local-ring matrix at t = 0 (always defined)."""
+    if M.domain != LOCAL:
+        raise TypeError("expected a local-ring matrix")
+    return M.map_entries(lambda x: x.at_zero(), QQ)
 
 
 class PolyComplex:
@@ -60,7 +67,7 @@ class PolyComplex:
     def constant(cls, c: Complex) -> "PolyComplex":
         if c.domain != QQ:
             raise TypeError("constant families come from rational complexes")
-        return cls(c.dims, [local_from_rational(d) for d in c.diffs])
+        return cls(c.dims, [d.map_entries(RatFun, LOCAL) for d in c.diffs])
 
     def at_zero(self) -> Complex:
         return Complex(self.dims, [local_at_zero(d) for d in self.diffs])
@@ -108,8 +115,9 @@ class Block(NamedTuple):
 
 class DVRDecomposition:
     """Result of the block decomposition: a graded basis change g(t),
-    invertible at t = 0, such that g D g^{-1} is the direct sum of
-    elementary blocks t^exponent plus zero rows/columns (free summands)."""
+    invertible at t = 0, with g_{i+1} D_i = B_i g_i for the block form B,
+    the direct sum of elementary blocks t^exponent plus zero rows/columns
+    (free summands)."""
 
     __slots__ = ("dims", "g", "blocks", "free")
 
@@ -153,12 +161,28 @@ class DVRDecomposition:
             out.append(Matrix(LOCAL, self.dims[i + 1], self.dims[i], grid))
         return out
 
-    def g_inverse(self) -> list[Matrix]:
-        return [inverse(gi) for gi in self.g]
-
 
 def _tpow(a: int) -> RatFun:
     return RatFun(QPoly((0,) * a + (1,)))
+
+
+def min_valuation_entry(grid, rows, cols):
+    """(valuation, i, j) of the first nonzero entry of least t-adic
+    valuation among grid[i][j], i in rows, j in cols, in row-major order;
+    None if all of them are zero.  A unit ends the scan: nothing in the
+    local ring has lower valuation."""
+    best = None
+    for i in rows:
+        row = grid[i]
+        for j in cols:
+            x = row[j]
+            if x:
+                v = x.valuation()
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+                    if v == 0:
+                        return best
+    return best
 
 
 def dvr_decompose(pc: PolyComplex) -> DVRDecomposition:

@@ -1,26 +1,25 @@
-"""Dense exact matrices and the elimination kernels everything else uses.
+"""Dense exact matrices over a field and the elimination kernels everything
+else uses.
 
-There are two Gauss-Jordan kernels, one per kind of scalar, and both pivot
-in each column, left to right, on the first unused row with a usable
-entry.  Over Q, ``_int_rref`` works on integer rows: each nonzero row is
-cleared of denominators, an update is p * row_i - c * row_piv followed by
-division by the row's content, and Fractions are built only from the
-final rows.  Over F_p and over the local ring at t = 0, ``_rref`` divides
-by unit pivots: over a field any nonzero entry, over the local ring an
-entry of valuation 0.  All basis-producing operations follow from the
-reduced row echelon form, which is unique, so both kernels give the same
-answers: kernel vectors set the free coordinate to 1 in ascending index
-order, and extensions keep the pivot columns, i.e. each candidate that is
-independent of the columns before it.  Reproducibility of these choices
-is what later makes spectral-sequence pages canonical objects with
-decidable equality.  Products, ``apply`` and zero tests skip zero entries
-by truthiness, which is what makes the sparse matrices of the filtered
-oracle cheap.
+There are two Gauss-Jordan kernels, one per field, and both pivot in each
+column, left to right, on the first unused row with a nonzero entry.
+Over Q, ``_int_rref`` works on integer rows: each nonzero row is cleared
+of denominators, an update is p * row_i - c * row_piv followed by division
+by the row's content, and Fractions are built only from the final rows.
+Over F_p, ``_rref`` divides by the pivot.  All basis-producing operations
+follow from the reduced row echelon form, which is unique, so both
+kernels give the same answers: kernel vectors set the free coordinate to
+1 in ascending index order, and extensions keep the pivot columns, i.e.
+each candidate that is independent of the columns before it.
+Reproducibility of these choices is what later makes spectral-sequence
+pages canonical objects with decidable equality.  Products, ``apply`` and
+zero tests skip zero entries by truthiness, which is what makes the
+sparse matrices of the filtered oracle cheap.
 
-The block splitting of families (``degeneration.dvr_decompose``) pivots
-on an entry of minimal t-adic valuation, the one ``min_valuation_entry``
-finds; its blocks also give the ranks over Q(t), so there is no separate
-local-ring rank routine.
+Matrices over the local ring at t = 0 are built and multiplied here, but
+never eliminated: their one elimination is ``degeneration.dvr_decompose``,
+which pivots on minimal t-adic valuation, and whose blocks also give the
+ranks over Q(t).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .rings import LOCAL, QQ, Domain, RatFun
+from .rings import QQ, Domain
 
 
 class Matrix:
@@ -180,17 +179,17 @@ class Matrix:
 
 def _require_field(M: Matrix, op: str):
     if not M.domain.is_field:
-        raise TypeError(f"{op} needs field entries, got {M.domain}; "
-                        "use the valuation-aware local-ring routines")
+        raise TypeError(f"{op} needs field entries, got {M.domain}; over "
+                        "the local ring use degeneration.dvr_decompose")
 
 
-def _rref(grid, rows, cols, is_unit=bool):
-    """In-place Gauss-Jordan elimination on unit pivots, the kernel for
-    F_p and the local ring; returns the pivot column list.
+def _rref(grid, rows, cols):
+    """In-place Gauss-Jordan elimination, the kernel for F_p; returns the
+    pivot column list.
 
     Pivot choice: for each column left to right, the first row (top to
-    bottom among unused rows) whose entry is a unit.  Over a field this is
-    the reduced row echelon form.
+    bottom among unused rows) whose entry is nonzero.  The result is the
+    reduced row echelon form.
     """
     pivots = []
     r = 0
@@ -199,7 +198,7 @@ def _rref(grid, rows, cols, is_unit=bool):
             break
         sel = None
         for i in range(r, rows):
-            if is_unit(grid[i][j]):
+            if grid[i][j]:
                 sel = i
                 break
         if sel is None:
@@ -358,9 +357,8 @@ def solve_matrix(M: Matrix, B: Matrix):
 
 
 def inverse(M: Matrix) -> Matrix:
-    """Inverse over a field, or over the local ring at t = 0 when M(0) is
-    invertible: Gauss-Jordan on unit pivots then never leaves the ring, and
-    the inverse is unique, so its entries are regular at t = 0."""
+    """Inverse over a field."""
+    _require_field(M, "inverse")
     n = M.rows
     if n != M.cols:
         raise ValueError("inverse of a non-square matrix")
@@ -372,12 +370,10 @@ def inverse(M: Matrix) -> Matrix:
         pivots = _int_rref(g, 2 * n)
         inv = _fraction_rows(g, pivots, n)
     else:
-        is_unit = bool if M.domain.is_field else RatFun.is_unit
-        pivots = _rref(grid, n, 2 * n, is_unit)
+        pivots = _rref(grid, n, 2 * n)
         inv = [row[n:] for row in grid]
     if pivots != list(range(n)):
-        raise ValueError("matrix is singular" if M.domain.is_field
-                         else "matrix is not invertible at t = 0")
+        raise ValueError("matrix is singular")
     return Matrix._of(M.domain, n, n, inv)
 
 
@@ -394,45 +390,3 @@ def extend_columns(domain: Domain, dim: int, base_cols, candidates):
     if pivots[:len(base)] != list(range(len(base))):
         raise ValueError("dependent base columns")
     return [cols[j] for j in pivots[len(base):]]
-
-
-# ---------------------------------------------------------------------------
-# The local ring at t = 0.
-
-def min_valuation_entry(grid, rows, cols):
-    """(valuation, i, j) of the first nonzero entry of least t-adic
-    valuation among grid[i][j], i in rows, j in cols, in row-major order;
-    None if all of them are zero.  A unit ends the scan: nothing in the
-    local ring has lower valuation."""
-    best = None
-    for i in rows:
-        row = grid[i]
-        for j in cols:
-            x = row[j]
-            if x:
-                v = x.valuation()
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-                    if v == 0:
-                        return best
-    return best
-
-
-def local_from_rational(M: Matrix) -> Matrix:
-    if M.domain != QQ:
-        raise TypeError("expected a rational matrix")
-    return M.map_entries(RatFun, LOCAL)
-
-
-def local_at_zero(M: Matrix) -> Matrix:
-    """Evaluate a local-ring matrix at t = 0 (always defined)."""
-    if M.domain != LOCAL:
-        raise TypeError("expected a local-ring matrix")
-    return M.map_entries(lambda x: x.at_zero(), QQ)
-
-
-def local_eval(M: Matrix, point: Fraction) -> Matrix:
-    """Evaluate at a rational point where no denominator vanishes."""
-    if M.domain != LOCAL:
-        raise TypeError("expected a local-ring matrix")
-    return M.map_entries(lambda x: x(point), QQ)

@@ -213,16 +213,16 @@ def _random_dims(rng: random.Random, max_m: int, max_n: int) -> st.GradedDims:
             return st.GradedDims(n)
 
 
-def _random_unimodular(rng: random.Random, n: int, spread: int = 2) -> Matrix:
+def _random_unimodular(rng: random.Random, n: int) -> Matrix:
     """Product of unitriangular integer matrices: invertible over Z."""
     low = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     up = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if i > j and rng.random() < 0.6:
-                low[i][j] = Fraction(rng.randint(-spread, spread))
+                low[i][j] = Fraction(rng.randint(-2, 2))
             if i < j and rng.random() < 0.6:
-                up[i][j] = Fraction(rng.randint(-spread, spread))
+                up[i][j] = Fraction(rng.randint(-2, 2))
     return Matrix(QQ, n, n, low) @ Matrix(QQ, n, n, up)
 
 
@@ -312,26 +312,26 @@ def _random_unit(rng: random.Random) -> RatFun:
     return RatFun(QPoly((c0, c1)))
 
 
-def _random_local_invertible(rng: random.Random, n: int, deg: int = 2) -> Matrix:
-    """Product of unit scalings and polynomial transvections: a local-ring
-    matrix invertible at t = 0."""
-    grid = [[RatFun(1) if i == j else RatFun(0) for j in range(n)]
-            for i in range(n)]
-    M = Matrix(LOCAL, n, n, grid)
+def _random_local_invertible(rng: random.Random, n: int):
+    """(M, M^-1) for a product M of unit scalings and polynomial
+    transvections, a local-ring matrix invertible at t = 0: M^-1 is the
+    product of the inverse factors in reverse order."""
+    one, zero = RatFun(1), RatFun(0)
+    M = Minv = Matrix.identity(LOCAL, n)
     for _ in range(2 * n):
-        a = rng.randrange(n) if n else 0
-        b = rng.randrange(n) if n else 0
-        if n == 0:
-            break
-        e = [[RatFun(1) if i == j else RatFun(0) for j in range(n)]
-             for i in range(n)]
+        a = rng.randrange(n)
+        b = rng.randrange(n)
+        e = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        einv = [row[:] for row in e]
         if a == b:
-            e[a][a] = _random_unit(rng)
+            u = _random_unit(rng)
+            e[a][a], einv[a][a] = u, one / u
         else:
-            coeffs = [rng.randint(-2, 2) for _ in range(deg + 1)]
-            e[a][b] = RatFun(QPoly(coeffs))
+            c = RatFun(QPoly([rng.randint(-2, 2) for _ in range(3)]))
+            e[a][b], einv[a][b] = c, -c
         M = M @ Matrix(LOCAL, n, n, e)
-    return M
+        Minv = Matrix(LOCAL, n, n, einv) @ Minv
+    return M, Minv
 
 
 def plant_block_family(rng: random.Random, dims: st.GradedDims,
@@ -354,8 +354,7 @@ def plant_block_family(rng: random.Random, dims: st.GradedDims,
             grid[k][full[i] + k] = RatFun(QPoly((0,) * a + (1,)))
         diffs.append(Matrix(LOCAL, rows, cols, grid))
     base = dg.PolyComplex(dims, diffs)
-    g = [_random_local_invertible(rng, n) for n in dims]
-    ginv = [inverse(gi) for gi in g]
+    g, ginv = zip(*[_random_local_invertible(rng, n) for n in dims])
     conj = [g[i + 1] @ base.diffs[i] @ ginv[i] for i in range(dims.m)]
     return dg.PolyComplex(dims, conj), tuple(sorted(planted)), rho
 
@@ -392,11 +391,16 @@ def degeneration_suite(seed: int, cases: int = 100, max_m: int = 3,
             fail("planted blocks not recovered", got=dec.block_multiset())
             continue
 
-        ginv = dec.g_inverse()
+        # g_{i+1} D_i = B_i g_i with every g_j invertible at t = 0 says
+        # g D g^-1 = B without inverting g over the local ring.
+        singular = [j for j, gj in enumerate(dec.g)
+                    if rank(dg.local_at_zero(gj)) != dims[j]]
+        if singular:
+            fail("g not invertible at t = 0", degree=singular[0])
+            continue
         block = dec.block_form()
         for i in range(dims.m):
-            lhs = dec.g[i + 1] @ pc.diffs[i] @ ginv[i]
-            if lhs != block[i]:
+            if dec.g[i + 1] @ pc.diffs[i] != block[i] @ dec.g[i]:
                 fail("conjugation identity fails", degree=i)
                 break
 

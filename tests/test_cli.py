@@ -168,6 +168,30 @@ class TestAnalyze:
         assert cli.main(["analyze", str(doc)]) == 2
         assert "401" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+    def test_orbit_invariant(self, flags):
+        # tangent_data with the tangent, orbit and chart dimensions one too
+        # large: the homotopy and chart identities still hold, and only the
+        # closed form stratum_dim(r) = 3 tells.
+        script = (
+            "import sys\n"
+            "from varcom import cli, complexes as cx\n"
+            "tangent_data = cx.tangent_data\n"
+            "def off_by_one(c):\n"
+            "    td = tangent_data(c)\n"
+            "    return td._replace(tangent=td.tangent + 1,\n"
+            "                       orbit=td.orbit + 1, chart=td.chart + 1)\n"
+            "cx.tangent_data = off_by_one\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script, "analyze",
+             str(ROOT / "demos/complexes/rank_one.json")],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("invariant violated: orbit dimension 4 ")
+
     def test_one_homotopy_matrix_one_elimination(self, capsys, monkeypatch):
         built, eliminated = [], []
         homotopy = cx._homotopy_matrix

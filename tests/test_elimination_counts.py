@@ -1,6 +1,7 @@
 """One elimination per differential: counted calls on the cohomology,
-limit and stratum-label paths."""
+analyze, limit and stratum-label paths."""
 
+import json
 import pathlib
 import random
 
@@ -13,6 +14,7 @@ from varcom.suites import random_complex
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FAMILIES = sorted((ROOT / "demos" / "families").glob("*.json"))
+COMPLEXES = sorted((ROOT / "demos" / "complexes").glob("*.json"))
 
 
 def counted(monkeypatch, module, name, calls=None):
@@ -47,6 +49,38 @@ def test_cohomology_one_rref_per_differential(monkeypatch):
         # The only other elimination: one greedy extension per degree.
         assert len(pivots) == len(dims)
         monkeypatch.undo()
+
+
+def test_analyze_one_rref_per_differential(monkeypatch, tmp_path):
+    """analyze reads the ranks off the adapted bases that tangent_data
+    reuses, and never eliminates a D_i a second time."""
+    rng = random.Random(5)
+    paths = list(COMPLEXES)
+    for k, dims in enumerate(((2, 3, 3, 1), (3, 3), (2, 0, 2))):
+        c, _ = random_complex(rng, GradedDims(dims))
+        paths.append(tmp_path / f"random{k}.json")
+        paths[-1].write_text(json.dumps(formats.emit_complex(c)))
+    parsed = []
+    parse = formats.parse_complex
+
+    def parse_and_keep(*args, **kwargs):
+        parsed.append(parse(*args, **kwargs))
+        return parsed[-1]
+
+    monkeypatch.setattr(formats, "parse_complex", parse_and_keep)
+    rrefs = counted(monkeypatch, linalg, "rref")
+    ranked = counted(monkeypatch, linalg, "pivot_columns")
+    counted(monkeypatch, cx, "pivot_columns", ranked)
+    counted(monkeypatch, cx, "rank", ranked)
+    for path in paths:
+        parsed.clear()
+        rrefs.clear()
+        ranked.clear()
+        assert cli.main(["analyze", str(path), "--json"]) == 0
+        [c] = parsed
+        diffs = [id(d) for d in c.diffs]
+        assert [id(M) for M in rrefs] == diffs
+        assert not {id(M) for M in ranked} & set(diffs)
 
 
 def test_limit_calls_no_pivot_columns(monkeypatch):

@@ -225,6 +225,21 @@ class TestLayering:
                 assert all(a.name.split(".")[0] != "varcom"
                            for a in node.names), f"line {node.lineno}"
 
+    def test_linalg_works_over_fields_only(self):
+        # The local ring's one elimination is degeneration.dvr_decompose.
+        from_rings = set()
+        for node in ast.walk(self.tree("linalg.py")):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+                assert not names & {"LOCAL", "RatFun", "rings"}, \
+                    f"line {node.lineno}"
+                if (node.module or "").split(".")[-1] == "rings":
+                    from_rings |= names
+            elif isinstance(node, ast.Import):
+                assert all(a.name.split(".")[-1] != "rings"
+                           for a in node.names), f"line {node.lineno}"
+        assert from_rings == {"QQ", "Domain"}
+
     @pytest.mark.parametrize("name", ["strata.py", "spectral.py"])
     def test_no_function_local_imports(self, name):
         for fn in ast.walk(self.tree(name)):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from varcom import degeneration as dg
 from varcom.degeneration import dvr_decompose
+from varcom.rings import QPoly, RatFun
 from varcom.strata import GradedDims
 from varcom.suites import (CensusBudgetError, degeneration_suite,
                            exhaustive_field_census, plant_block_family,
@@ -64,6 +66,38 @@ class TestDegenerationSuite:
     def test_passes(self):
         report = degeneration_suite(seed=1, cases=12)
         assert report.passed, report.failures[:3]
+
+    @staticmethod
+    def change_g(monkeypatch, change):
+        """The suite's dvr_decompose returns change(g) as its g."""
+        decompose = dg.dvr_decompose
+
+        def changed(pc):
+            dec = decompose(pc)
+            return dg.DVRDecomposition(dec.dims, change(list(dec.g)),
+                                       dec.blocks, dec.free)
+
+        monkeypatch.setattr(dg, "dvr_decompose", changed)
+
+    def test_reports_g_singular_at_zero(self, monkeypatch):
+        # t g still satisfies (t g) D = B (t g), but vanishes at t = 0.
+        t = RatFun(QPoly.t())
+        self.change_g(monkeypatch, lambda g: [gj.scale(t) for gj in g])
+        report = degeneration_suite(seed=1, cases=12)
+        assert len(report.failures) == 12
+        assert {f["check"] for f in report.failures} == \
+            {"g not invertible at t = 0"}
+
+    def test_reports_conjugation_failure(self, monkeypatch):
+        # (1 + t) g_m is still invertible at 0, but (1 + t) g_m D_{m-1} !=
+        # B_{m-1} g_{m-1} wherever the last differential has a block.
+        unit = RatFun(QPoly((1, 1)))
+        self.change_g(monkeypatch, lambda g: g[:-1] + [g[-1].scale(unit)])
+        report = degeneration_suite(seed=1, cases=12)
+        assert {f["check"] for f in report.failures} == \
+            {"conjugation identity fails"}
+        assert all(f["degree"] == len(f["dims"]) - 2 for f in report.failures)
+        assert any(f["degree"] > 0 for f in report.failures)
 
     def test_replayable(self):
         a = degeneration_suite(seed=2, cases=6)
