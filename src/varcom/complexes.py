@@ -119,10 +119,6 @@ class GradedMap:
         self.degree = degree
         self.components = components
 
-    @classmethod
-    def identity(cls, dims: GradedDims, domain: Domain = QQ) -> "GradedMap":
-        return cls(dims, 0, [Matrix.identity(domain, n) for n in dims])
-
     def component(self, i: int) -> Matrix:
         return self.components[i]
 
@@ -162,17 +158,14 @@ class CohomologyData:
     lifts[i] has h_i columns: representatives in V^i of the canonical
     basis of H^i, lying in Ker(D_i).  projections[i] is an h_i x n_i
     matrix killing Im(D_{i-1}) with projections[i] @ lifts[i] = identity.
-    images[i] has r_i columns, the pivot columns of D_{i-1}: a basis of
-    Im(D_{i-1}).
     """
 
-    __slots__ = ("h", "lifts", "projections", "images")
+    __slots__ = ("h", "lifts", "projections")
 
-    def __init__(self, h, lifts, projections, images):
+    def __init__(self, h, lifts, projections):
         self.h = tuple(h)
         self.lifts = tuple(lifts)
         self.projections = tuple(projections)
-        self.images = tuple(images)
 
 
 def _adapted_bases(c: Complex):
@@ -220,7 +213,7 @@ def cohomology(c: Complex) -> CohomologyData:
     """Canonical cohomology data; h_i = n_i - r_i - r_{i+1}."""
     full, B, Binv = _adapted_bases(c)
     m = c.dims.m
-    h, lifts, projections, images = [], [], [], []
+    h, lifts, projections = [], [], []
     for i in range(m + 1):
         r_in, r_out = full[i], full[i + 1]
         n = c.dims[i]
@@ -228,8 +221,7 @@ def cohomology(c: Complex) -> CohomologyData:
         h_cols = range(r_in + r_out, n)
         lifts.append(B[i].submatrix(range(n), h_cols))
         projections.append(Binv[i].submatrix(h_cols, range(n)))
-        images.append(B[i].submatrix(range(n), range(r_in)))
-    return CohomologyData(h, lifts, projections, images)
+    return CohomologyData(h, lifts, projections)
 
 
 def split_canonical(c: Complex):

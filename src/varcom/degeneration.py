@@ -6,13 +6,12 @@ splits into shifted copies of the ring and two-term blocks R --t^a--> R;
 ``dvr_decompose`` finds this splitting by valuation-minimal pivoting, with
 the relations D^2 = 0 guaranteeing that each extracted block detaches
 cleanly from its neighbours.  It is the only elimination over the local
-ring: ``linalg`` eliminates over fields only.  The multiplicities m[i, a]
-of the blocks determine the limit of the family as t -> 0: a reduced
-spectral sequence whose page differentials are read off exactly, one
-active exponent at a time.  An independent brute-force oracle recomputes
+ring: ``linalg`` eliminates over fields only.  The limit of the family as
+t -> 0 is a reduced spectral sequence with one page per active exponent,
+read off g(0) alone: in the block coordinates y = g(0) x every block is
+one pair of coordinates.  An independent brute-force oracle recomputes
 page dimensions and differential ranks from the classical filtered-complex
-subquotients over a truncation ring, and is used to cross-check the
-pivoting path.
+subquotients over a truncation ring, and cross-checks the pivoting path.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import functools
 from typing import NamedTuple
 
 from .complexes import Complex, NotAComplexError, cohomology
-from .linalg import Matrix, inverse, kernel_basis, rank, solve_matrix
+from .linalg import Matrix, inverse, kernel_basis, rank
 from .rings import LOCAL, QQ, QPoly, RatFun
 from .spectral import SpectralSequence, StratumLabel, stratum_label
 from .strata import GradedDims, RankVector
@@ -297,58 +296,64 @@ def limit_complete_complex(pc: PolyComplex,
                            decomposition: DVRDecomposition | None = None) -> LimitResult:
     """The limit of the family as t -> 0.
 
-    Page 0 carries D(0).  For each active exponent a >= 1, in increasing
-    order, the blocks t^a induce the next nonzero page differential:
-    ambient representatives are conjugated through g(0) and re-expressed
-    on the canonical cohomology basis of the previous page by exact
-    solving in the accumulated subquotient.  Zero exponent classes between
-    active ones contribute identity pages and are skipped, which is what
-    makes the limit reduced exactly when the generic rank vector is
-    maximal.  Non-reduced limits (final page not sparse) are returned with
-    reduced=False and no label.
+    Page 0 carries D(0).  Each active exponent a >= 1, in increasing order,
+    gives the next page differential; the identity pages of the exponents
+    between are skipped, so the limit is reduced exactly when the generic
+    rank vector is maximal.  A non-reduced limit (final page not sparse)
+    comes with reduced=False and no label.
+
+    The pages are read in block coordinates y = g(0) x, where a block is a
+    source coordinate in V^i and a target in V^{i+1}, and D(0) is the 0/1
+    matrix of the exponent-0 blocks.  The columns of L_j are the page basis
+    in y: g(0) on page 0, then times cohomology(page).lifts.  For exponent
+    a, a block is spent if its exponent is below a, and a coordinate is
+    live if it is in no spent block.  By induction over the pages, cycles
+    vanish on spent sources and the accumulated boundaries span exactly
+    the spent targets, so the live rows L_j' of L_j are invertible: the
+    page is isomorphic to the live coordinates.  The exponent-a map E_a
+    moves a row from the source of each (i, a) block to its target, both
+    live, so the page differential is d = L_{i+1}'^{-1} (E_a L_i)'.  Its
+    cycles L z vanish on the a-sources, and as L_i' is invertible, E_a L z
+    fills the a-targets: the induction goes on.  The ambient solve of
+    [L | B] X = E_a L in x, with B the lifted boundaries, has the same
+    unique answer: G [L | B | E_a L] and [L | B | E_a L] have the same
+    reduced row echelon form, and B vanishes on the live rows.  A basis row
+    nonzero on a spent source, a live count other than the page's
+    dimension, or a singular L_j' is an InvariantError.
     """
     dec = decomposition or dvr_decompose(pc)
-    dims = pc.dims
-    m = dims.m
-    G = [local_at_zero(gi) for gi in dec.g]
-    Ginv = [inverse(Gi) for Gi in G]
-
-    def exponent_map(a: int) -> list[Matrix]:
-        """Ambient matrices of the exponent-a block map, original basis."""
-        out = []
-        for i in range(m):
-            grid = [[QQ.zero] * dims[i] for _ in range(dims[i + 1])]
-            for b in dec.blocks:
-                if b.degree == i and b.exponent == a:
-                    grid[b.target][b.source] = QQ.one
-            out.append(Ginv[i + 1] @ Matrix(QQ, dims[i + 1], dims[i], grid) @ G[i])
-        return out
-
-    # Accumulated subquotient: lifts of the current page basis and of the
-    # boundaries hit so far, as ambient column matrices per degree.
-    lifts = [Matrix.identity(QQ, n) for n in dims]
-    bnds = [Matrix.zeros(QQ, n, 0) for n in dims]
-
-    pages = [Complex(dims, [local_at_zero(d) for d in pc.diffs])]
-    actives = [a for a in dec.exponents() if a >= 1]
-    for a in actives:
-        page = pages[-1]
-        coh = cohomology(page)
-        bnds = [b.hstack(lift @ im)
-                for b, lift, im in zip(bnds, lifts, coh.images)]
+    lifts = [local_at_zero(gj) for gj in dec.g]
+    pages = [Complex(pc.dims, [local_at_zero(d) for d in pc.diffs])]
+    for a in [a for a in dec.exponents() if a >= 1]:
+        coh = cohomology(pages[-1])
         lifts = [lift @ h_lift for lift, h_lift in zip(lifts, coh.lifts)]
-        amb_map = exponent_map(a)
-        new_dims = GradedDims(coh.h)
+        live = [set(range(n)) for n in pc.dims]
+        for b in dec.blocks:
+            if b.exponent < a:
+                if any(lifts[b.degree].entries[b.source]):
+                    raise InvariantError(
+                        f"page {len(pages)} basis is nonzero on the source "
+                        f"of block (degree {b.degree}, exponent {b.exponent})")
+                live[b.degree].discard(b.source)
+                live[b.degree + 1].discard(b.target)
+        live = [sorted(coords) for coords in live]
+        if tuple(map(len, live)) != coh.h:
+            raise InvariantError(
+                f"page {len(pages)} has dims {coh.h}, but the live "
+                f"coordinates number {tuple(map(len, live))}")
+        try:
+            inv = [inverse(lift.submatrix(rows, range(lift.cols)))
+                   for lift, rows in zip(lifts, live)]
+        except ValueError:
+            raise InvariantError(f"page {len(pages)} basis is singular on "
+                                 "its live coordinates") from None
         diffs = []
-        for i in range(m):
-            value = amb_map[i] @ lifts[i]
-            basis = lifts[i + 1].hstack(bnds[i + 1])
-            sol = solve_matrix(basis, value)
-            if sol is None:
-                raise InvariantError(
-                    "page differential left the accumulated subquotient")
-            diffs.append(sol.submatrix(range(new_dims[i + 1]), range(new_dims[i])))
-        pages.append(Complex(new_dims, diffs))
+        for i in range(pc.dims.m):
+            moved = {b.target: lifts[i].entries[b.source] for b in dec.blocks
+                     if b.degree == i and b.exponent == a}
+            value = [moved.get(q, [QQ.zero] * coh.h[i]) for q in live[i + 1]]
+            diffs.append(inv[i + 1] @ Matrix(QQ, len(value), coh.h[i], value))
+        pages.append(Complex(GradedDims(coh.h), diffs))
 
     # The free summands are the abutment; SpectralSequence checks them
     # against the ranks of the last page.

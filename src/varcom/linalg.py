@@ -341,21 +341,6 @@ def _kernel_and_pivots(M: Matrix):
     return Matrix._of(M.domain, M.cols, len(free), grid), pivots
 
 
-def solve_matrix(M: Matrix, B: Matrix):
-    """Solve MX = B column by column; None if any column is inconsistent."""
-    if M.rows != B.rows:
-        raise ValueError("row mismatch in solve_matrix")
-    aug = M.hstack(B)
-    R, pivots = rref(aug)
-    if pivots and pivots[-1] >= M.cols:
-        return None
-    z = M.domain.zero
-    out = [[z] * B.cols for _ in range(M.cols)]
-    for k, p in enumerate(pivots):
-        out[p] = list(R.entries[k][M.cols:])
-    return Matrix._of(M.domain, M.cols, B.cols, out)
-
-
 def inverse(M: Matrix) -> Matrix:
     """Inverse over a field."""
     _require_field(M, "inverse")

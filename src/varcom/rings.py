@@ -440,9 +440,6 @@ class RatFun:
         the numerator counts."""
         return _val(self._p)
 
-    def is_unit(self) -> bool:
-        return bool(self._p) and self._p[0] != 0
-
     def __add__(self, other):
         other = _as_ratfun(other)
         if other is NotImplemented:

@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from varcom import degeneration as dg
+from varcom import formats
 from varcom.complexes import NotAComplexError, rank_vector, validate
-from varcom.degeneration import (InvariantError, PolyComplex, dvr_decompose,
+from varcom.degeneration import (Block, DVRDecomposition, InvariantError,
+                                 PolyComplex, dvr_decompose,
                                  exponent_rank_table, filtered_oracle,
                                  limit_complete_complex, local_at_zero,
                                  page_table_from_multiplicities,
@@ -17,6 +20,12 @@ from varcom.linalg import Matrix, inverse, rank
 from varcom.rings import LOCAL, QQ, QPoly, RatFun
 from varcom.spectral import normalize
 from varcom.strata import GradedDims
+from varcom.suites import plant_block_family
+
+import limit_reference
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FAMILIES = sorted((ROOT / "demos" / "families").glob("*.json"))
 
 T = RatFun(QPoly.t())
 ONE = RatFun(1)
@@ -133,10 +142,9 @@ class TestDecompose:
             "    dvr_decompose(pc)\n"
             "except InvariantError:\n"
             "    print('raised')\n")
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
         out = subprocess.run([sys.executable, "-O", "-c", script],
                              capture_output=True, text=True, timeout=60,
-                             env={**os.environ, "PYTHONPATH": str(src)})
+                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert out.returncode == 0, out.stderr
         assert out.stdout == "raised\n"
 
@@ -193,6 +201,88 @@ class TestLimit:
         limit2 = limit_complete_complex(pc.substitute(u))
         assert limit1.ss == limit2.ss
         assert limit1.label == limit2.label
+
+
+class TestLimitReference:
+    """The limit in block coordinates against the ambient construction of
+    limit_reference, page for page, on each family and on its
+    reparametrization t -> t + t^2."""
+
+    DIMS = ((2, 2), (3, 3), (1, 2, 1), (2, 3, 2), (2, 2, 2), (1, 2, 2, 1),
+            (2, 3, 3, 2))
+
+    @staticmethod
+    def check(pc):
+        for family in (pc, pc.substitute(QPoly((0, 1, 1)))):
+            pages = limit_complete_complex(family).ss.pages
+            assert list(pages[:-1]) == limit_reference.limit_pages(family)
+
+    @pytest.mark.parametrize("path", FAMILIES, ids=lambda p: p.stem)
+    def test_demo_families(self, path):
+        self.check(formats.parse_family(formats.load_json(str(path))))
+
+    def test_planted_families(self):
+        rng = random.Random(18)
+        for k in range(210):
+            dims = GradedDims(self.DIMS[k % len(self.DIMS)])
+            pc, _, _ = plant_block_family(rng, dims, 4)
+            self.check(pc)
+
+
+def doctored(dec, blocks=None, g=None):
+    return DVRDecomposition(dec.dims, dec.g if g is None else g,
+                            dec.blocks if blocks is None else blocks, dec.free)
+
+
+class TestLimitInvariants:
+    """Each check of the limit, triggered by a decomposition of diag(1, t)
+    doctored through dvr_decompose; each message names its check, so a
+    fault caught by a later check does not pass."""
+
+    FAULTS = {
+        # the spent block's source moved onto the page basis
+        "spent_source": ("basis is nonzero on the source", lambda dec: doctored(
+            dec, blocks=(Block(0, 0, 1, 0), Block(0, 1, 0, 1)))),
+        # the exponent-0 block dropped: nothing is spent
+        "live_count": ("live coordinates number", lambda dec: doctored(
+            dec, blocks=dec.blocks[1:])),
+        # g scaled by t: the page basis in block coordinates is zero
+        "singular": ("basis is singular on its live coordinates", lambda dec: doctored(
+            dec, g=[gj.scale(T) for gj in dec.g])),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_fault_raises(self, monkeypatch, fault):
+        message, doctor = self.FAULTS[fault]
+        decompose = dg.dvr_decompose
+        pc = diag_family(0, 1)
+        assert decompose(pc).blocks == (Block(0, 0, 0, 0), Block(0, 1, 1, 1))
+        monkeypatch.setattr(dg, "dvr_decompose", lambda pc: doctor(decompose(pc)))
+        with pytest.raises(InvariantError, match=message):
+            limit_complete_complex(pc)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+    def test_cli_exit_1(self, flags):
+        script = (
+            "import sys\n"
+            "from varcom import cli, degeneration as dg\n"
+            "from varcom.rings import QPoly, RatFun\n"
+            "decompose = dg.dvr_decompose\n"
+            "def at_t(pc):\n"
+            "    dec = decompose(pc)\n"
+            "    t = RatFun(QPoly.t())\n"
+            "    return dg.DVRDecomposition(\n"
+            "        dec.dims, [gj.scale(t) for gj in dec.g], dec.blocks, dec.free)\n"
+            "dg.dvr_decompose = at_t\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script, "limit",
+             str(ROOT / "demos/families/pencil_1_t.json")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("invariant violated: page 1 basis is singular "
+                               "on its live coordinates\n")
 
 
 class TestOracle:
@@ -252,7 +342,6 @@ class TestInvariances:
 
     def test_planted_random_roundtrip(self):
         rng = random.Random(99)
-        from varcom.suites import plant_block_family
         for _ in range(25):
             dims = GradedDims([rng.randint(0, 2) for _ in range(rng.randint(2, 4))])
             if dims.total() == 0:

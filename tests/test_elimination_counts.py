@@ -10,7 +10,7 @@ from varcom import complexes as cx
 from varcom import degeneration as dg
 from varcom.spectral import canonical_ss_from_chain, stratum_label
 from varcom.strata import GradedDims, enumerate_chains
-from varcom.suites import random_complex
+from varcom.suites import plant_block_family, random_complex
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FAMILIES = sorted((ROOT / "demos" / "families").glob("*.json"))
@@ -81,6 +81,24 @@ def test_analyze_one_rref_per_differential(monkeypatch, tmp_path):
         diffs = [id(d) for d in c.diffs]
         assert [id(M) for M in rrefs] == diffs
         assert not {id(M) for M in ranked} & set(diffs)
+
+
+def test_limit_one_rref_per_differential(monkeypatch):
+    """The limit eliminates each differential of each page whose cohomology
+    it takes, once, and nothing else: a page differential is read off the
+    block coordinates with no solve.  The last page with a differential
+    and the final zero page are not eliminated."""
+    rng = random.Random(18)
+    families = [formats.parse_family(formats.load_json(str(p)))
+                for p in FAMILIES]
+    for dims in ((2, 3, 2), (1, 2, 2, 1), (2, 3, 3, 2)) * 4:
+        families.append(plant_block_family(rng, GradedDims(dims), 4)[0])
+    for pc in families:
+        rrefs = counted(monkeypatch, linalg, "rref")
+        ss = dg.limit_complete_complex(pc).ss
+        assert [id(M) for M in rrefs] == [
+            id(d) for page in ss.pages[:-2] for d in page.diffs]
+        monkeypatch.undo()
 
 
 def test_limit_calls_no_pivot_columns(monkeypatch):

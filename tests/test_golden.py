@@ -17,7 +17,10 @@ and review the diff.
 import contextlib
 import io
 import json
+import os
 import pathlib
+import shutil
+import subprocess
 import sys
 import tempfile
 
@@ -38,7 +41,9 @@ CHAIN_DIMS = ((2, 2, 2), (1, 2, 2, 1))
 def _stdout(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(argv) == 0, argv
+        status = cli.main(argv)
+    if status != 0:
+        raise RuntimeError(f"varcom {' '.join(argv)} exited {status}")
     return out.getvalue()
 
 
@@ -94,13 +99,33 @@ def test_golden(name, tmp_path):
     assert got == want
 
 
+def test_rewrite_under_O_keeps_files(tmp_path):
+    """The rewrite command, run under python -O on a copy of the tree,
+    leaves every golden file byte for byte as it was."""
+    skip = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+    for part in ("src", "tests", "demos"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
+    proc = subprocess.run(
+        [sys.executable, "-O", "tests/test_golden.py"], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(tmp_path / "src")})
+    assert proc.returncode == 0, proc.stderr
+    rewritten = tmp_path / "tests" / "golden"
+    assert sorted(p.name for p in rewritten.iterdir()) == NAMES
+    for name in NAMES:
+        assert (rewritten / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def main():
-    GOLDEN.mkdir(exist_ok=True)
-    for old in GOLDEN.iterdir():
-        old.unlink()
+    """Render every case into a temporary directory, then replace
+    tests/golden/ with it: a failing render leaves the old files."""
     with tempfile.TemporaryDirectory() as workdir:
+        staged = pathlib.Path(workdir) / "golden"
+        staged.mkdir()
         for name, render in cases(workdir).items():
-            (GOLDEN / name).write_text(render(), encoding="utf-8")
+            (staged / name).write_text(render(), encoding="utf-8")
+        shutil.rmtree(GOLDEN, ignore_errors=True)
+        shutil.copytree(staged, GOLDEN)
     print(f"wrote {len(NAMES)} golden files to {GOLDEN}", file=sys.stderr)
 
 

@@ -8,7 +8,7 @@ from varcom import linalg
 from varcom.degeneration import PolyComplex, dvr_decompose, local_at_zero
 from varcom.linalg import (Matrix, _int_rows, _int_rref, _kernel_and_pivots,
                            _rref, extend_columns, inverse, kernel_basis,
-                           pivot_columns, rank, rref, solve_matrix)
+                           pivot_columns, rank, rref)
 from varcom.rings import GF, LOCAL, QQ, QPoly, RatFun
 from varcom.strata import GradedDims
 from varcom.suites import _random_local_invertible
@@ -18,12 +18,6 @@ from adapted_reference import complement_basis
 
 def qmat(rows):
     return Matrix(QQ, len(rows), len(rows[0]) if rows else 0, rows)
-
-
-def solve(M, b):
-    """One-column solve_matrix: a solution of Mx = b as a list, or None."""
-    x = solve_matrix(M, Matrix.from_columns(M.domain, M.rows, [b]))
-    return None if x is None else x.column(0)
 
 
 class TestRank:
@@ -81,36 +75,6 @@ class TestKernel:
             k = kernel_basis(m)
             for j in range(k.cols):
                 assert all(x == 0 for x in m.apply(k.column(j)))
-
-
-class TestSolve:
-    def test_identity(self):
-        b = [Fraction(3), Fraction(-1)]
-        assert solve(Matrix.identity(QQ, 2), b) == b
-
-    def test_inconsistent(self):
-        assert solve(Matrix.zeros(QQ, 2, 2), [Fraction(1), Fraction(0)]) is None
-
-    def test_scalar(self):
-        assert solve(qmat([[2]]), [Fraction(3)]) == [Fraction(3, 2)]
-
-    def test_solve_then_multiply_random(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            r, c = rng.randint(1, 4), rng.randint(1, 4)
-            m = qmat([[Fraction(rng.randint(-3, 3)) for _ in range(c)]
-                      for _ in range(r)])
-            x0 = [Fraction(rng.randint(-2, 2)) for _ in range(c)]
-            b = m.apply(x0)
-            x = solve(m, b)
-            assert x is not None
-            assert m.apply(x) == b
-
-    def test_solve_matrix(self):
-        m = qmat([[1, 1], [0, 1]])
-        b = qmat([[2, 0], [1, 1]])
-        x = solve_matrix(m, b)
-        assert m @ x == b
 
 
 class TestComplement:
@@ -495,16 +459,6 @@ class TestIntegerKernelOracle:
         R, pivots = cls.ref_rref(aug)
         return None if pivots != list(range(n)) else [row[n:] for row in R]
 
-    @classmethod
-    def ref_solve(cls, M, B):
-        R, pivots = cls.ref_rref(M.hstack(B))
-        if pivots and pivots[-1] >= M.cols:
-            return None
-        out = [[Fraction(0)] * B.cols for _ in range(M.cols)]
-        for k, p in enumerate(pivots):
-            out[p] = R[k][M.cols:]
-        return out
-
     @staticmethod
     def matrix(rng, rows, cols):
         """Random Q matrix of one of several kinds: small fractions, all-zero
@@ -551,12 +505,6 @@ class TestIntegerKernelOracle:
                         inverse(M)
                 else:
                     assert [list(row) for row in inverse(M).entries] == want
-            B = self.matrix(rng, r, rng.randint(0, 3))
-            if rng.random() < 0.5:
-                B = M @ self.matrix(rng, c, B.cols)    # consistent
-            X = solve_matrix(M, B)
-            want = self.ref_solve(M, B)
-            assert (X if X is None else [list(row) for row in X.entries]) == want
             # columns of M as a base, the columns of a second matrix as
             # candidates; the base must be independent, so keep only its
             # pivot columns
@@ -586,7 +534,6 @@ class TestIntegerKernelOracle:
         rank(M)
         pivot_columns(M)
         kernel_basis(M)
-        solve_matrix(M, Matrix.identity(QQ, 3))
         inverse(qmat([[1, 2], [3, 4]]))
         extend_columns(QQ, 3, [M.column(0)], M.columns())
         _kernel_and_pivots(M)

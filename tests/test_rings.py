@@ -77,7 +77,7 @@ class TestLocalRing:
 
     def test_units_are_valuation_zero(self):
         u = RatFun(QPoly((1, 1)))
-        assert u.is_unit()
+        assert u.valuation() == 0
         assert (RatFun(1) / u) * u == RatFun(1)
         with pytest.raises(ValueError):
             RatFun(1) / RatFun(QPoly.t())   # 1/t has a pole at 0

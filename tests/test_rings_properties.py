@@ -34,7 +34,7 @@ def test_ring_axioms(x, y, z):
     assert x + zero == x and x * one == x and x * zero == zero
     assert x - x == zero and x + (-x) == zero and -(-x) == x
     assert (x - y) + y == x
-    if y.is_unit():
+    if y.valuation() == 0:
         assert (x / y) * y == x
 
 
