@@ -16,8 +16,8 @@ from .complexes import (CohomologyData, Complex, GradedMap, NotAComplexError,
                         nullhomotopic_space, rank_vector, split_canonical,
                         tangent_data, validate)
 from .degeneration import (Block, DVRDecomposition, InvariantError,
-                           LimitResult, PolyComplex, TruncationTooSmall,
-                           dvr_decompose, exponent_rank_table, filtered_oracle,
+                           LimitResult, PolyComplex, dvr_decompose,
+                           exponent_rank_table, filtered_oracle,
                            limit_complete_complex, local_at_zero,
                            page_table_from_multiplicities, validate_family)
 from .linalg import Matrix, inverse, kernel_basis, rank
@@ -44,7 +44,7 @@ __all__ = [
     "SpectralSequence", "CompleteComplex", "StratumLabel", "validate_reduced",
     "stratum_label", "canonical_ss_from_chain", "normalize",
     "PolyComplex", "Block", "DVRDecomposition", "LimitResult",
-    "InvariantError", "TruncationTooSmall", "validate_family", "local_at_zero",
+    "InvariantError", "validate_family", "local_at_zero",
     "dvr_decompose", "limit_complete_complex", "exponent_rank_table",
     "page_table_from_multiplicities", "filtered_oracle",
 ]

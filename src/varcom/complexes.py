@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .linalg import (Matrix, _kernel_and_pivots, extend_columns, inverse,
+from .linalg import (Matrix, _kernel_and_pivots, complete_basis, inverse,
                      kernel_basis, pivot_columns, rank)
 from .rings import QQ, Domain
 from .strata import GradedDims, RankVector
@@ -119,9 +119,6 @@ class GradedMap:
         self.degree = degree
         self.components = components
 
-    def component(self, i: int) -> Matrix:
-        return self.components[i]
-
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.components)
 
@@ -148,7 +145,10 @@ class GradedMap:
 
 def rank_vector(c: Complex) -> RankVector:
     """Ranks of the differential components; coordinate i+1 is the rank of
-    D_i, and the inequalities defining R hold automatically."""
+    D_i, and the inequalities defining R hold automatically.  Read off the
+    adapted bases when they exist."""
+    if c._adapted is not None:
+        return RankVector(c.dims, c._adapted[0][1:c.dims.m + 1])
     return RankVector(c.dims, tuple(rank(d) for d in c.diffs))
 
 
@@ -174,11 +174,19 @@ def _adapted_bases(c: Complex):
     greedily extends the image inside the kernel.  In these bases the
     differential becomes the canonical block form of its rank vector.
 
-    One rref of D_i gives Ker(D_i) and the pivot columns J of D_i, and
-    these give the rest: e_j is independent modulo Ker(D_i) and the e_k
-    chosen before it iff column j of D_i is independent of the columns
-    before it, so W^i = {e_j : j in J}, and its image D_i W^i, the first
-    block of degree i+1, is the columns J of D_i.
+    One rref of D_i gives Ker(D_i) and the pivot columns J of D_i: e_j is
+    independent modulo Ker(D_i) and the e_k chosen before it iff column j
+    of D_i is independent of the columns before it, so W^i = {e_j : j in
+    J}, and its image D_i W^i, the first block of degree i+1, is the
+    columns J of D_i.  A second rref, of [im | W | Ker(D_i) | 1], gives B
+    and its inverse (``complete_basis``).  Its pivot columns outside the
+    last block are B = [im | W | H], with H the greedy extension of im
+    inside the kernel: W meets the kernel only in 0, so placing W before
+    the kernel columns changes no pivot.  (If a kernel column is k = a + w
+    + b, with a in the span of im, w in that of W and b in that of the
+    kernel columns before k, then w = k - a - b lies in the kernel, so
+    w = 0.)  The rref sends B's columns to e_0, e_1, ..., so its row
+    operations E have E B = 1, and its last block, E 1, is B^{-1}.
 
     Returns (full_ranks, B, Binv) with B[i] the basis-column matrix.
     """
@@ -188,8 +196,7 @@ def _adapted_bases(c: Complex):
     m = dims.m
     z, o = dom.zero, dom.one
     full = [0] * (m + 2)
-    B = []
-    Binv = []
+    bases = []
     im_cols: list = []
     for i in range(m + 1):
         n = dims[i]
@@ -199,13 +206,11 @@ def _adapted_bases(c: Complex):
             ker, pivots = Matrix.identity(dom, n), []
         w_cols = [[o if k == j else z for k in range(n)] for j in pivots]
         full[i] = len(im_cols)
-        h_cols = extend_columns(dom, n, im_cols, ker.columns())
-        Bi = Matrix.from_columns(dom, n, im_cols + w_cols + h_cols)
-        B.append(Bi)
-        Binv.append(inverse(Bi))
+        bases.append(complete_basis(
+            Matrix.from_columns(dom, n, im_cols + w_cols), ker))
         if i < m:
             im_cols = [c.diffs[i].column(j) for j in pivots]
-    c._adapted = (tuple(full), tuple(B), tuple(Binv))
+    c._adapted = (tuple(full), *zip(*bases))
     return c._adapted
 
 

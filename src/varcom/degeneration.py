@@ -323,7 +323,7 @@ def limit_complete_complex(pc: PolyComplex,
     """
     dec = decomposition or dvr_decompose(pc)
     lifts = [local_at_zero(gj) for gj in dec.g]
-    pages = [Complex(pc.dims, [local_at_zero(d) for d in pc.diffs])]
+    pages = [pc.at_zero()]
     for a in [a for a in dec.exponents() if a >= 1]:
         coh = cohomology(pages[-1])
         lifts = [lift @ h_lift for lift, h_lift in zip(lifts, coh.lifts)]
@@ -375,19 +375,31 @@ def exponent_rank_table(pc: PolyComplex,
     return page_table_from_multiplicities(pc.dims, dec.multiplicities(), r_max)
 
 
-class TruncationTooSmall(ValueError):
-    pass
-
-
 def filtered_oracle(pc: PolyComplex, N: int):
     """Independent page dimension/rank table from the t-adic filtration.
 
     The family is unrolled over the truncation ring Q[t]/t^N into one big
-    rational complex; for page r the classical subquotients
-    Z_r^p / (Z_{r-1}^{p+1} + D Z_{r-1}^{p-r+1}) are computed by exact
-    kernel/sum/rank arithmetic at an interior filtration level p = N//2.
-    The same table is computed at p - 1; a mismatch means the truncation
-    order is too small for the exponents present.
+    rational complex, filtered by F^p = t^p; for page r the classical
+    subquotients Z_r^p / (Z_{r-1}^{p+1} + D Z_{r-1}^{p-r+1}), with
+    Z_r^p = {x in F^p : D x in F^{p+r}}, are computed by exact
+    kernel/sum/rank arithmetic at the interior filtration level p = N//2,
+    for every page r <= N//2 - 1, and once more at p - 1.
+
+    The two tables agree, so a mismatch is an InvariantError.  By the
+    block decomposition (which ``dvr_decompose`` finds; the oracle does
+    not use it), a basis change g(t), invertible at 0, carries D(t) to a
+    sum of free summands R and blocks R --t^a--> R.  Modulo t^N, g is an
+    automorphism of R/t^N-modules, so it keeps every F^p = t^p V, and the
+    subquotients split block by block.  Both levels p used here have
+    1 <= p - r + 1 and p + r < N for every r <= N//2 - 1, and at such a
+    level:
+    - the class t^p of a free summand survives;
+    - the class t^p of a block's target survives iff r <= a, since the
+      images t^{a+k}, k >= p - r + 1, reach t^p iff a < r;
+    - the class t^p of its source survives iff t^{a+p} lies in F^{p+r},
+      that is a >= r, or a + p >= N, which with a < r would give p + r > N;
+    - d_r has rank 1 on exactly the blocks with a = r, as t^{p+r} != 0.
+    So both tables are the exponent table, whatever p.
     """
     if N < 4:
         raise ValueError("truncation order too small to have interior levels")
@@ -413,47 +425,32 @@ def filtered_oracle(pc: PolyComplex, N: int):
     bigD = [big_matrix(i) for i in range(m)]
 
     # table_at(p) and table_at(p - 1) ask for the same few subspaces and
-    # images many times over; both caches die with this call.
+    # images many times over; both caches die with this call.  Every level
+    # they ask for lies in 1..N.
     @functools.cache
-    def z_cached(r: int, p: int, i: int) -> Matrix:
+    def z_space(r: int, p: int, i: int) -> Matrix:
+        """Basis (columns) of Z_r^{p, i} = {x in F^p : D x in F^{p+r}}.  F^p
+        is the coordinate range p*n_i .. N*n_i, so a basis vector is a
+        kernel vector padded with zeros."""
         n = dims[i]
-        free_coords = [j * n + e for j in range(p, N) for e in range(n)]
-        if not free_coords:
+        free = range(p * n, N * n)
+        if not free:
             return Matrix.zeros(QQ, N * n, 0)
         if i == m:
-            ker = Matrix.identity(QQ, len(free_coords))
+            ker = Matrix.identity(QQ, len(free))
         else:
             cutoff = min(p + r, N) * dims[i + 1]
-            sub = bigD[i].submatrix(range(cutoff), free_coords)
-            ker = kernel_basis(sub)
-        full_cols = []
-        for c in range(ker.cols):
-            vec = [QQ.zero] * (N * n)
-            for idx, coord in enumerate(free_coords):
-                vec[coord] = ker.entries[idx][c]
-            full_cols.append(vec)
-        return Matrix.from_columns(QQ, N * n, full_cols)
+            ker = kernel_basis(bigD[i].submatrix(range(cutoff), free))
+        return Matrix._of(QQ, N * n, ker.cols,
+                          [[QQ.zero] * ker.cols] * (p * n) + list(ker.entries))
 
     @functools.cache
-    def d_cached(r: int, p: int, i: int) -> Matrix:
-        return bigD[i] @ z_cached(r, p, i)
-
-    def z_space(r: int, p: int, i: int) -> Matrix:
-        """Basis (columns) of Z_r^{p, i} = {x in F^p : D x in F^{p+r}}."""
-        return z_cached(r, max(p, 0), i)
-
     def d_image(r: int, p: int, i: int) -> Matrix:
         """Columns D z for the basis z of Z_r^{p, i}."""
-        return d_cached(r, max(p, 0), i)
+        return bigD[i] @ z_space(r, p, i)
 
     def span_dim(*mats: Matrix) -> int:
-        mats = [mm for mm in mats if mm.cols > 0]
-        if not mats:
-            return 0
-        acc = mats[0]
-        for mm in mats[1:]:
-            acc = acc.hstack(mm)
-        return rank(acc)
+        return rank(functools.reduce(Matrix.hstack, mats))
 
     def table_at(p: int, r_max: int):
         rows = []
@@ -473,16 +470,15 @@ def filtered_oracle(pc: PolyComplex, N: int):
             rows.append((tuple(ds), tuple(rks)))
         return rows
 
-    # The oracle never looks at the pivoting path: it reports every page
-    # the truncation can reliably see.  At the interior level p = N//2 the
-    # subquotient formulas for page r touch filtration levels p - r + 1
-    # through p + r + 1, so pages up to N//2 - 2 are trustworthy for both
-    # p and p - 1.
+    # The oracle never looks at the pivoting path.  It reports the pages
+    # r <= r_max = N//2 - 2 and the row after them; for both p and p - 1
+    # the subquotients of row r touch levels p - r + 1 through p + r + 1,
+    # all within 1..N.
     p = N // 2
     r_max = max(p - 2, 0)
     t1 = table_at(p, r_max)
     t2 = table_at(p - 1, r_max)
     if t1 != t2:
-        raise TruncationTooSmall(
-            f"filtered tables disagree at p = {p} and {p - 1}; increase N")
+        raise InvariantError(
+            f"filtered tables disagree at p = {p} and {p - 1}")
     return t1

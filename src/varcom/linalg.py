@@ -6,15 +6,17 @@ column, left to right, on the first unused row with a nonzero entry.
 Over Q, ``_int_rref`` works on integer rows: each nonzero row is cleared
 of denominators, an update is p * row_i - c * row_piv followed by division
 by the row's content, and Fractions are built only from the final rows.
-Over F_p, ``_rref`` divides by the pivot.  All basis-producing operations
-follow from the reduced row echelon form, which is unique, so both
-kernels give the same answers: kernel vectors set the free coordinate to
-1 in ascending index order, and extensions keep the pivot columns, i.e.
-each candidate that is independent of the columns before it.
-Reproducibility of these choices is what later makes spectral-sequence
-pages canonical objects with decidable equality.  Products, ``apply`` and
-zero tests skip zero entries by truthiness, which is what makes the
-sparse matrices of the filtered oracle cheap.
+Over F_p, ``_rref`` divides by the pivot.  Two routines enter them:
+``rref``, from which every kernel, basis completion and inverse comes, and
+``pivot_columns``, the Fraction-free path for ranks.  The reduced row
+echelon form is unique, so both kernels give the same answers: kernel
+vectors set the free coordinate to 1 in ascending index order, and a
+completion keeps the pivot columns, i.e. each candidate that is
+independent of the columns before it.  Reproducibility of these choices
+is what later makes spectral-sequence pages canonical objects with
+decidable equality.  Products, ``apply`` and zero tests skip zero entries
+by truthiness, which is what makes the sparse matrices of the filtered
+oracle cheap.
 
 Matrices over the local ring at t = 0 are built and multiplied here, but
 never eliminated: their one elimination is ``degeneration.dvr_decompose``,
@@ -277,22 +279,17 @@ def _int_rref(g, cols, jordan=True):
     return pivots
 
 
-def _fraction_rows(g, pivots, start=0):
-    """Rows of the reduced row echelon form from the integer pivot rows of
-    ``_int_rref``: each row's entries from column start on, over its pivot."""
-    z = QQ.zero
-    return [[Fraction(x, row[j]) if x else z for x in row[start:]]
-            for row, j in zip(g, pivots)]
-
-
 def rref(M: Matrix):
     """Reduced row echelon form and pivot columns (deterministic)."""
     _require_field(M, "rref")
     if M.domain == QQ:
         g = _int_rows(M.entries)
         pivots = _int_rref(g, M.cols)
-        grid = _fraction_rows(g, pivots)
-        grid += [[QQ.zero] * M.cols] * (M.rows - len(pivots))
+        # row k of the form: the integer pivot row k over its pivot
+        z = QQ.zero
+        grid = [[Fraction(x, row[j]) if x else z for x in row]
+                for row, j in zip(g, pivots)]
+        grid += [[z] * M.cols] * (M.rows - len(pivots))
     else:
         grid = [list(row) for row in M.entries]
         pivots = _rref(grid, M.rows, M.cols)
@@ -341,37 +338,37 @@ def _kernel_and_pivots(M: Matrix):
     return Matrix._of(M.domain, M.cols, len(free), grid), pivots
 
 
-def inverse(M: Matrix) -> Matrix:
-    """Inverse over a field."""
-    _require_field(M, "inverse")
-    n = M.rows
-    if n != M.cols:
-        raise ValueError("inverse of a non-square matrix")
-    z, o = M.domain.zero, M.domain.one
-    grid = [list(row) + [o if i == j else z for j in range(n)]
-            for i, row in enumerate(M.entries)]
-    if M.domain == QQ:
-        g = _int_rows(grid)
-        pivots = _int_rref(g, 2 * n)
-        inv = _fraction_rows(g, pivots, n)
-    else:
-        pivots = _rref(grid, n, 2 * n)
-        inv = [row[n:] for row in grid]
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix._of(M.domain, n, n, inv)
+def complete_basis(base: Matrix, candidates: Matrix | None = None):
+    """(B, B^{-1}) for B = [base | C'], where C' greedily completes the
+    independent columns of base to a basis: each candidate column that is
+    independent of the columns before it.  One rref gives both.
 
-
-def extend_columns(domain: Domain, dim: int, base_cols, candidates):
-    """Greedily extend base_cols by candidates that increase the rank.
-
-    Returns the accepted candidates in input order: the pivot columns of
-    [base | candidates] after the base.  base_cols must be independent.
+    Let A = [base | candidates | 1].  Its pivot columns are the greedy
+    choice, in order, and the identity block makes it of full row rank.
+    If base is independent and base + candidates span, the pivots all lie
+    outside the last block, and they are B.  The rref is E A for an
+    invertible E, and it sends B's columns to e_0, e_1, ..., so E B = 1;
+    its last block, E 1, is therefore B^{-1}.  A dependent base, or
+    candidates that do not span, raise ValueError.
     """
-    base = [[domain.coerce(x) for x in col] for col in base_cols]
-    cols = base + [[domain.coerce(x) for x in col] for col in candidates]
-    grid = [[col[i] for col in cols] for i in range(dim)]
-    pivots = pivot_columns(Matrix._of(domain, dim, len(cols), grid))
-    if pivots[:len(base)] != list(range(len(base))):
-        raise ValueError("dependent base columns")
-    return [cols[j] for j in pivots[len(base):]]
+    _require_field(base, "complete_basis")
+    n, z, o = base.rows, base.domain.zero, base.domain.one
+    A = base if candidates is None else base.hstack(candidates)
+    width = A.cols
+    R, pivots = rref(Matrix._of(A.domain, n, width + n, [
+        row + tuple(o if i == j else z for j in range(n))
+        for i, row in enumerate(A.entries)]))
+    if pivots[:base.cols] != list(range(base.cols)):
+        raise ValueError("dependent base columns: the matrix is singular")
+    if pivots and pivots[-1] >= width:
+        raise ValueError("the candidates do not complete the base to a basis")
+    return (A.submatrix(range(n), pivots),
+            R.submatrix(range(n), range(width, width + n)))
+
+
+def inverse(M: Matrix) -> Matrix:
+    """Inverse over a field: the basis M completed by no candidate."""
+    _require_field(M, "inverse")
+    if M.rows != M.cols:
+        raise ValueError("inverse of a non-square matrix")
+    return complete_basis(M)[1]

@@ -420,10 +420,6 @@ class RatFun:
                 raise ValueError("pole at t = 0")
         self._p, self._q = _lowest(p, q)
 
-    @classmethod
-    def t(cls) -> "RatFun":
-        return _raw((0, 1), (1,))
-
     @property
     def num(self) -> QPoly:
         return _reduced(self._p, self._q[0])

@@ -5,10 +5,26 @@ Per degree: the kernel basis of D_i, the greedy complement W^i of the
 kernel among the standard vectors (``complement_basis``, through
 ``extend_columns``), the greedy extension H^i of the image D_{i-1} W^{i-1}
 inside the kernel, and the inverse of the basis [image | W^i | H^i].
-The package reads W^i off the pivot columns of D_i instead.
+The package reads W^i off the pivot columns of D_i instead, and takes H^i
+and the inverse from one rref of [image | W^i | Ker D_i | 1].
 """
 
-from varcom.linalg import Matrix, extend_columns, inverse, kernel_basis
+from varcom.linalg import Matrix, inverse, kernel_basis, pivot_columns
+
+
+def extend_columns(domain, dim, base_cols, candidates):
+    """Greedily extend base_cols by candidates that increase the rank.
+
+    Returns the accepted candidates in input order: the pivot columns of
+    [base | candidates] after the base.  base_cols must be independent.
+    """
+    base = [[domain.coerce(x) for x in col] for col in base_cols]
+    cols = base + [[domain.coerce(x) for x in col] for col in candidates]
+    grid = [[col[i] for col in cols] for i in range(dim)]
+    pivots = pivot_columns(Matrix._of(domain, dim, len(cols), grid))
+    if pivots[:len(base)] != list(range(len(base))):
+        raise ValueError("dependent base columns")
+    return [cols[j] for j in pivots[len(base):]]
 
 
 def complement_basis(sub: Matrix, ambient_dim: int) -> Matrix:

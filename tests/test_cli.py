@@ -301,6 +301,22 @@ class TestLimit:
         err = capsys.readouterr().err
         assert err.startswith("invariant violated:") and err.count("\n") == 1
 
+    def test_oracle_tables_disagree_is_exit_1(self, monkeypatch, capsys):
+        # A kernel that loses a vector at level p = N//2 of degree 0 only:
+        # the tables at p and p - 1, which always agree, then disagree.
+        kernel_basis = cli.dg.kernel_basis
+
+        def doctored(M):
+            ker = kernel_basis(M)
+            if M.cols != (8 - 8 // 2) * 2 or not ker.cols:
+                return ker
+            return ker.submatrix(range(ker.rows), range(ker.cols - 1))
+        monkeypatch.setattr(cli.dg, "kernel_basis", doctored)
+        path = str(ROOT / "demos/families/pencil_1_t.json")
+        assert cli.main(["limit", path, "--oracle", "8"]) == 1
+        assert capsys.readouterr().err == (
+            "invariant violated: filtered tables disagree at p = 4 and 3\n")
+
 
 class TestVerify:
     def test_census(self, capsys):

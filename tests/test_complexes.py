@@ -148,8 +148,8 @@ class TestHomSpaces:
     def test_morphism_equation_satisfied(self):
         c = validate((1, 2, 1), [[[1], [0]], [[0, 1]]])
         for f in morphism_space(c):
-            lhs = c.diffs[1] @ f.component(0)
-            rhs = f.component(1) @ c.diffs[0]
+            lhs = c.diffs[1] @ f.components[0]
+            rhs = f.components[1] @ c.diffs[0]
             assert (lhs + rhs).is_zero()
 
     def test_nullhomotopic_dims(self):
@@ -171,8 +171,8 @@ class TestHomSpaces:
         c = validate((1, 2, 1), [[[1], [0]], [[0, 1]]])
         for f in nullhomotopic_space(c):
             # each basis vector is sD - Ds for some s, hence a morphism
-            lhs = c.diffs[1] @ f.component(0)
-            rhs = f.component(1) @ c.diffs[0]
+            lhs = c.diffs[1] @ f.components[0]
+            rhs = f.components[1] @ c.diffs[0]
             assert (lhs + rhs).is_zero()
 
 

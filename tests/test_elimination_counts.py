@@ -1,5 +1,7 @@
 """One elimination per differential: counted calls on the cohomology,
-analyze, limit and stratum-label paths."""
+analyze, limit and stratum-label paths.  Besides one rref per
+differential, the adapted bases of a complex cost one rref per degree,
+which completes and inverts the basis at once."""
 
 import json
 import pathlib
@@ -37,6 +39,20 @@ def counted_ranks(monkeypatch):
     return counted(monkeypatch, cx, "rank", calls)
 
 
+def adapted_rrefs(rrefs, c):
+    """The rref calls of c's adapted bases, in degree order: D_i, then
+    the completion of degree i, and last the completion of degree m.
+    Each completion is the [basis | candidates | 1] of its degree."""
+    m = c.dims.m
+    assert len(rrefs) == 2 * m + 1
+    assert [id(M) for M in rrefs[:-1:2]] == [id(d) for d in c.diffs]
+    for i, M in enumerate(rrefs[1::2]):
+        n = c.dims[i]
+        assert M.rows == n and M.cols >= 2 * n
+        assert M.submatrix(range(n), range(M.cols - n, M.cols)) == (
+            linalg.Matrix.identity(c.domain, n))
+
+
 def test_cohomology_one_rref_per_differential(monkeypatch):
     rng = random.Random(5)
     for dims in ((2, 3, 3, 1), (3, 3), (1, 2, 1), (2, 0, 2)):
@@ -45,9 +61,8 @@ def test_cohomology_one_rref_per_differential(monkeypatch):
         pivots = counted(monkeypatch, linalg, "pivot_columns")
         cx.cohomology(c)
         cx.cohomology(c)
-        assert [id(M) for M in rrefs] == [id(d) for d in c.diffs]
-        # The only other elimination: one greedy extension per degree.
-        assert len(pivots) == len(dims)
+        adapted_rrefs(rrefs, c)
+        assert pivots == []
         monkeypatch.undo()
 
 
@@ -78,37 +93,46 @@ def test_analyze_one_rref_per_differential(monkeypatch, tmp_path):
         ranked.clear()
         assert cli.main(["analyze", str(path), "--json"]) == 0
         [c] = parsed
-        diffs = [id(d) for d in c.diffs]
-        assert [id(M) for M in rrefs] == diffs
-        assert not {id(M) for M in ranked} & set(diffs)
+        adapted_rrefs(rrefs, c)
+        assert not {id(M) for M in ranked} & {id(d) for d in c.diffs}
 
 
-def test_limit_one_rref_per_differential(monkeypatch):
-    """The limit eliminates each differential of each page whose cohomology
-    it takes, once, and nothing else: a page differential is read off the
-    block coordinates with no solve.  The last page with a differential
-    and the final zero page are not eliminated."""
+def limit_families():
+    """The six demo families and twelve planted ones."""
     rng = random.Random(18)
     families = [formats.parse_family(formats.load_json(str(p)))
                 for p in FAMILIES]
     for dims in ((2, 3, 2), (1, 2, 2, 1), (2, 3, 3, 2)) * 4:
         families.append(plant_block_family(rng, GradedDims(dims), 4)[0])
-    for pc in families:
+    return families
+
+
+def test_limit_one_rref_per_differential(monkeypatch):
+    """For each page whose cohomology it takes, the limit eliminates each
+    differential once, completes each degree's adapted basis once and
+    inverts each degree's live basis once: a page differential is read
+    off the block coordinates with no solve.  The last page with a
+    differential and the final zero page are not eliminated."""
+    for pc in limit_families():
         rrefs = counted(monkeypatch, linalg, "rref")
         ss = dg.limit_complete_complex(pc).ss
-        assert [id(M) for M in rrefs] == [
-            id(d) for page in ss.pages[:-2] for d in page.diffs]
+        m = pc.dims.m
+        step = 3 * m + 2
+        assert len(rrefs) == step * (len(ss.pages) - 2)
+        for k, page in enumerate(ss.pages[:-2]):
+            adapted_rrefs(rrefs[k * step:k * step + 2 * m + 1], page)
         monkeypatch.undo()
 
 
-def test_limit_calls_no_pivot_columns(monkeypatch):
-    def refuse(M):
-        raise AssertionError("limit eliminated a page again")
-
-    monkeypatch.setattr(dg, "pivot_columns", refuse, raising=False)
-    for path in FAMILIES:
-        pc = formats.parse_family(formats.load_json(str(path)))
-        dg.limit_complete_complex(pc)
+def test_limit_ranks_only_the_last_page(monkeypatch):
+    """SpectralSequence reads the ranks of every page whose cohomology the
+    limit took off its adapted bases: pivot_columns sees exactly the
+    differentials of the last page with a differential."""
+    for pc in limit_families():
+        ranked = counted(monkeypatch, linalg, "pivot_columns")
+        ss = dg.limit_complete_complex(pc).ss
+        assert [id(M) for M in ranked] == [id(d) for d in ss.pages[-2].diffs]
+        monkeypatch.undo()
 
 
 def test_limit_report_makes_no_rank_call(monkeypatch, tmp_path, capsys):

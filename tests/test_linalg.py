@@ -7,7 +7,7 @@ import pytest
 from varcom import linalg
 from varcom.degeneration import PolyComplex, dvr_decompose, local_at_zero
 from varcom.linalg import (Matrix, _int_rows, _int_rref, _kernel_and_pivots,
-                           _rref, extend_columns, inverse, kernel_basis,
+                           _rref, complete_basis, inverse, kernel_basis,
                            pivot_columns, rank, rref)
 from varcom.rings import GF, LOCAL, QQ, QPoly, RatFun
 from varcom.strata import GradedDims
@@ -102,8 +102,10 @@ class TestComplement:
 
     @pytest.mark.parametrize("domain", [QQ, GF(5)], ids=str)
     def test_greedy_reference(self, domain):
-        """extend_columns and complement_basis against a brute-force greedy
-        loop that accepts a candidate iff the rank grows."""
+        """complete_basis and complement_basis against a brute-force greedy
+        loop that accepts a candidate iff the rank grows: the chosen
+        columns, B B^{-1} = 1, and the rejection of a dependent base and of
+        candidates that do not span."""
         rng = random.Random(23)
 
         def span_rank(dim, cols):
@@ -121,19 +123,33 @@ class TestComplement:
             return [domain.coerce(rng.choice([0, 0, 0, 1, -1, 2]))
                     for _ in range(dim)]
 
+        def columns(dim, cols):
+            return Matrix.from_columns(domain, dim, cols)
+
+        spanning = short = 0
         for _ in range(60):
             dim = rng.randint(0, 5)
             base = greedy(dim, [], [vec(dim) for _ in range(rng.randint(0, 3))])
             cands = [vec(dim) for _ in range(rng.randint(0, 6))]
-            assert extend_columns(domain, dim, base, cands) == greedy(dim, base, cands)
             std = [[domain.one if i == j else domain.zero for i in range(dim)]
                    for j in range(dim)]
-            sub = Matrix.from_columns(domain, dim, base)
+            sub = columns(dim, base)
+            if len(base + greedy(dim, base, cands)) < dim:
+                short += 1
+                with pytest.raises(ValueError, match="do not complete"):
+                    complete_basis(sub, columns(dim, cands))
+            else:
+                spanning += 1
+            B, Binv = complete_basis(sub, columns(dim, cands + std))
+            assert B.columns() == base + greedy(dim, base, cands + std)
+            assert B @ Binv == Matrix.identity(domain, dim)
             assert complement_basis(sub, dim).columns() == greedy(dim, base, std)
             dependent = [x + y for x, y in zip(base[0], base[-1])] if base else None
             if dependent is not None:
                 with pytest.raises(ValueError, match="dependent base"):
-                    extend_columns(domain, dim, base + [dependent], cands)
+                    complete_basis(columns(dim, base + [dependent]),
+                                   columns(dim, cands + std))
+        assert spanning >= 10 and short >= 10
 
     @pytest.mark.parametrize("domain", [QQ, GF(5)], ids=str)
     def test_complement_of_kernel_is_pivot_columns(self, domain):
@@ -505,16 +521,18 @@ class TestIntegerKernelOracle:
                         inverse(M)
                 else:
                     assert [list(row) for row in inverse(M).entries] == want
-            # columns of M as a base, the columns of a second matrix as
-            # candidates; the base must be independent, so keep only its
-            # pivot columns
+            # columns of M as a base, the columns of a second matrix and
+            # then the standard vectors as candidates; the base must be
+            # independent, so keep only its pivot columns
             base = [M.column(j) for j in piv_want]
-            cands = self.matrix(rng, r, rng.randint(0, 6)).columns()
+            cands = (self.matrix(rng, r, rng.randint(0, 6)).columns()
+                     + Matrix.identity(QQ, r).columns())
             grid = [[col[i] for col in base + cands] for i in range(r)]
             piv_all = _rref(grid, r, len(base) + len(cands))
-            assert (extend_columns(QQ, r, base, cands)
-                    == [(base + cands)[j] for j in piv_all[len(base):]])
             sub = Matrix.from_columns(QQ, r, base)
+            B, Binv = complete_basis(sub, Matrix.from_columns(QQ, r, cands))
+            assert B.columns() == [(base + cands)[j] for j in piv_all]
+            assert B @ Binv == Matrix.identity(QQ, r)
             assert complement_basis(sub, r).columns() == self.ref_complement(sub)
 
     @classmethod
@@ -535,7 +553,7 @@ class TestIntegerKernelOracle:
         pivot_columns(M)
         kernel_basis(M)
         inverse(qmat([[1, 2], [3, 4]]))
-        extend_columns(QQ, 3, [M.column(0)], M.columns())
+        complete_basis(M.submatrix(range(3), [0]), Matrix.identity(QQ, 3))
         _kernel_and_pivots(M)
         with pytest.raises(AssertionError, match="Fraction _rref"):
             rank(Matrix.identity(GF(5), 2))
